@@ -391,11 +391,15 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
         )
     if kind == "sylow-wreath":
         p, k = params["p"], params["k"]
+        if p < 2 or k < 1:
+            raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
         return GroupBlueprint(
             kind, {"p": p, "k": k}, p**k, p ** sylow_exponent(p, k), p ** (k - 1)
         )
     if kind == "wreath-polynomial":
         p, u, v, c = params["p"], params["u"], params["v"], params["c"]
+        if c < 1:
+            raise ValueError(f"need c >= 1, got c={c}")
         return GroupBlueprint(
             kind,
             {"p": p, "u": u, "v": v, "c": c},

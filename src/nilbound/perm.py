@@ -2,13 +2,16 @@
 
 Points are 0-indexed and actions are on the right: ``g(point)`` is the image
 of a point and ``a * b`` means "apply a, then b".  Group order and membership
-come from a deterministic base/strong-generating-set chain that is built
-once, on first demand, and never mutated afterwards, so groups are safe to
-share across threads.
+come from a deterministic base/strong-generating-set chain (no random
+Schreier-Sims).  A group builds its chain once, on first demand; a normal
+closure grows one private chain generator by generator and hands it to the
+group it returns.  A chain attached to a group is never mutated afterwards,
+so groups are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import threading
@@ -38,7 +41,7 @@ class Permutation:
         n = len(images)
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if type(x) is not int or not 0 <= x < n or seen[x]:  # bool is not a point
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[x] = True
         self._images = images
@@ -148,19 +151,36 @@ def commutator(x: Permutation, y: Permutation) -> Permutation:
 
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
-    that move it, and a transversal mapping each orbit point to a coset
-    representative u with point_base^u = point."""
+    that move it, a transversal mapping each orbit point to a coset
+    representative u with point_base^u = point, and the inverses of those
+    representatives."""
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int, identity: Permutation):
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {point: identity}
+        self.inverses: dict[int, Permutation] = {point: identity}
+
+
+def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
+    """Strip h through levels[start:]; the residue is the identity exactly
+    when h lies in the group those levels describe."""
+    for level in itertools.islice(levels, start, None):
+        x = h.images[level.point]
+        if x != level.point:
+            if x not in level.inverses:
+                return h
+            h = h * level.inverses[x]
+    return h
 
 
 def _build_chain(
-    degree: int, generators: Iterable[Permutation], base_prefix: Sequence[int] = ()
+    degree: int,
+    generators: Iterable[Permutation],
+    base_prefix: Sequence[int] = (),
+    levels: list[_Level] | None = None,
 ) -> list[_Level]:
     """Deterministic Schreier-Sims.
 
@@ -171,9 +191,15 @@ def _build_chain(
     through the deeper levels, and any non-identity residue becomes a new
     strong generator, after which verification restarts at the residue's
     home level.
+
+    Given levels, a verified chain the caller owns and no group holds yet,
+    the chain is extended in place: the generators are placed, only the
+    transversals of levels 0..home are rebuilt, and verification resumes
+    at the highest level touched, since the deeper levels are unchanged.
     """
     identity = Permutation.identity(degree)
-    levels = [_Level(b, identity) for b in base_prefix]
+    if levels is None:
+        levels = [_Level(b, identity) for b in base_prefix]
 
     def level_gens(i: int) -> list[Permutation]:
         return [g for level in levels[i:] for g in level.gens]
@@ -190,38 +216,23 @@ def _build_chain(
         levels[-1].gens.append(g)
         return len(levels) - 1
 
-    def rebuild_transversal(i: int) -> None:
-        level = levels[i]
-        level.transversal = {level.point: identity}
-        frontier = [level.point]
-        gens = level_gens(i)
-        while frontier:
-            x = frontier.pop()
-            u = level.transversal[x]
-            for s in gens:
-                y = s.images[x]
-                if y not in level.transversal:
-                    level.transversal[y] = u * s
-                    frontier.append(y)
+    def rebuild_transversals(top: int) -> None:
+        for j, level in enumerate(levels[: top + 1]):
+            level.transversal = {level.point: identity}
+            frontier = [level.point]
+            gens = level_gens(j)
+            while frontier:
+                x = frontier.pop()
+                u = level.transversal[x]
+                for s in gens:
+                    y = s.images[x]
+                    if y not in level.transversal:
+                        level.transversal[y] = u * s
+                        frontier.append(y)
+            level.inverses = {y: u.inverse() for y, u in level.transversal.items()}
 
-    def strip(h: Permutation, start: int) -> Permutation:
-        for j in range(start, len(levels)):
-            level = levels[j]
-            x = h.images[level.point]
-            if x not in level.transversal:
-                return h
-            h = h * level.transversal[x].inverse()
-            if h.is_identity():
-                return h
-        return h
-
-    for g in generators:
-        if not g.is_identity():
-            place(g)
-    for i in range(len(levels)):
-        rebuild_transversal(i)
-
-    i = len(levels) - 1
+    i = max((place(g) for g in generators if not g.is_identity()), default=-1)
+    rebuild_transversals(i)
     while i >= 0:
         level = levels[i]
         gens = level_gens(i)
@@ -230,10 +241,10 @@ def _build_chain(
             u = level.transversal[x]
             for s in gens:
                 y = s.images[x]
-                schreier = u * s * level.transversal[y].inverse()
+                schreier = u * s * level.inverses[y]
                 if schreier.is_identity():
                     continue
-                residue = strip(schreier, i + 1)
+                residue = _sift(levels, schreier, i + 1)
                 if not residue.is_identity():
                     # residue fixes the base points of levels 0..i, so its
                     # home is at least i + 1
@@ -244,8 +255,7 @@ def _build_chain(
         if residue_home is None:
             i -= 1
         else:
-            for j in range(residue_home + 1):
-                rebuild_transversal(j)
+            rebuild_transversals(residue_home)
             i = residue_home
     return levels
 
@@ -291,13 +301,7 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation) or g.degree != self._degree:
             return False
-        h = g
-        for level in self._levels():
-            x = h.images[level.point]
-            if x not in level.transversal:
-                return False
-            h = h * level.transversal[x].inverse()
-        return h.is_identity()
+        return _sift(self._levels(), g).is_identity()
 
     def contains_group(self, other: PermGroup) -> bool:
         """Whether every generator of other is a member (other <= self)."""
@@ -364,22 +368,27 @@ class PermGroup:
         return list(products(0))
 
     def normal_closure(self, seeds: Sequence[Permutation]) -> PermGroup:
-        """Smallest normal subgroup of self containing the seeds."""
+        """Smallest normal subgroup of self containing the seeds.
+
+        A worklist grows one stabilizer chain: a candidate that sifts through
+        it is dropped, any other becomes a generator, extends the chain and
+        queues its conjugates by the generators of self.  Each generator kept
+        enlarges the closure, so a p-group's closure N keeps <= log_p |N|."""
         for s in seeds:
             if s not in self:
                 raise GroupError("seed is not a member of the group")
-        gens = [s for s in seeds if not s.is_identity()]
+        conjugators = [(g.inverse(), g) for g in self._generators]
+        gens: list[Permutation] = []
+        levels: list[_Level] = []
+        queue = collections.deque(seeds)
+        while queue:
+            h = queue.popleft()
+            if not _sift(levels, h).is_identity():
+                gens.append(h)
+                _build_chain(self._degree, (h,), levels=levels)
+                queue.extend(g_inv * h * g for g_inv, g in conjugators)
         closure = PermGroup(self._degree, gens)
-        changed = True
-        while changed:
-            changed = False
-            for h in list(gens):
-                for g in self._generators:
-                    conj = h.conjugate(g)
-                    if conj not in closure:
-                        gens.append(conj)
-                        closure = PermGroup(self._degree, gens)
-                        changed = True
+        closure._chain = levels
         return closure
 
     # -- serialization ----------------------------------------------------
@@ -436,19 +445,20 @@ def commutator_subgroup(G: PermGroup, A: PermGroup, B: PermGroup) -> PermGroup:
     Computed as the normal closure, inside <A, B>, of the commutators of
     generator pairs; this equals the full commutator subgroup whenever one
     of A, B is normal in <A, B>, which covers every use in this package.
+    When one of A, B contains the other it is <A, B> itself and its chain is
+    reused, so the lower central series takes every closure inside G.
     """
-    for g in A.generators:
-        if g not in G:
-            raise GroupError("A is not a subgroup of G")
-    for g in B.generators:
-        if g not in G:
-            raise GroupError("B is not a subgroup of G")
-    joint = PermGroup(G.degree, A.generators + B.generators)
-    seeds = [
-        commutator(a, b)
-        for a in A.generators
-        for b in B.generators
-    ]
+    if not G.contains_group(A):
+        raise GroupError("A is not a subgroup of G")
+    if not G.contains_group(B):
+        raise GroupError("B is not a subgroup of G")
+    if B.contains_group(A):
+        joint = B
+    elif A.contains_group(B):
+        joint = A
+    else:
+        joint = PermGroup(G.degree, A.generators + B.generators)
+    seeds = (commutator(a, b) for a in A.generators for b in B.generators)
     return joint.normal_closure([s for s in seeds if not s.is_identity()])
 
 

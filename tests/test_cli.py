@@ -100,6 +100,19 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert "blueprint" in err
 
+    @pytest.mark.parametrize(
+        "blueprint",
+        [
+            '{"kind":"sylow-wreath","params":{"p":1,"k":3}}',
+            '{"kind":"wreath-polynomial","params":{"p":2,"u":1,"v":1,"c":0}}',
+        ],
+        ids=["sylow-wreath-p1", "wreath-polynomial-c0"],
+    )
+    def test_out_of_range_params_are_invalid_blueprints(self, capsys, blueprint):
+        code, _, err = run(capsys, "construct", "--blueprint", blueprint)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: invalid blueprint: need ")
+
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "construct", "--blueprint", '{"kind": ')
         assert code == EXIT_USAGE
@@ -151,6 +164,12 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "generators[1]" in err
 
+    def test_rejects_bool_points_with_position(self, capsys):
+        group = '{"degree":2,"generators":[[0,1],[true,false]]}'
+        code, _, err = run(capsys, "analyze", "--group", group)
+        assert code == EXIT_USAGE
+        assert "generators[1]" in err
+
 
 class TestSearch:
     def test_degree_four_row(self, capsys):
@@ -167,6 +186,16 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "5")
         assert code == EXIT_GUARD
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--k", "0", "--audit"), ("--k", "2", "--cmax", "0")],
+        ids=["k0-audit", "cmax0"],
+    )
+    def test_out_of_range_arguments_are_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, "search", "--p", "2", *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_audit_flag(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "2", "--k", "2", "--cmax", "3", "--audit")

@@ -66,3 +66,12 @@ def test_series_profiles_match():
         ours = lower_central_series(G).order_profile()
         theirs = [t.order() for t in to_sympy(G).lower_central_series()]
         assert ours == theirs
+
+
+@pytest.mark.parametrize("p, k, cls", [(2, 4, 8), (2, 5, 16), (3, 3, 9)])
+def test_tower_series_profiles_match(p, k, cls):
+    W = iterated_wreath_sylow(p, k)
+    ours = lower_central_series(W)
+    theirs = [t.order() for t in to_sympy(W).lower_central_series()]
+    assert ours.order_profile() == theirs
+    assert ours.nilpotency_class == len(theirs) - 1 == cls

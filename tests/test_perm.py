@@ -1,7 +1,10 @@
 """Permutation and group engine tests against closure-based oracles."""
 
+import json
+
 import pytest
 
+from nilbound.cli import main
 from nilbound.constructions import iterated_wreath_sylow, product_action
 from nilbound.perm import (
     GroupError,
@@ -55,6 +58,8 @@ class TestPermutation:
             Permutation((0, 0, 1))
         with pytest.raises(ValueError):
             Permutation((0, 1, 3))
+        with pytest.raises(ValueError):
+            Permutation((True, False))
 
     def test_pow(self):
         c = Permutation.from_cycles(5, (0, 1, 2, 3, 4))
@@ -174,6 +179,16 @@ class TestNormalClosureAndCommutators:
         with pytest.raises(GroupError):
             G.normal_closure([Permutation.from_cycles(4, (0, 1))])
 
+    def test_parent_group_is_left_unchanged(self):
+        G = iterated_wreath_sylow(2, 3)
+        gens, order, chain = G.generators, G.order(), G._levels()
+        snapshot = [(lv.point, list(lv.gens), dict(lv.transversal)) for lv in chain]
+        N = G.normal_closure([commutator(G.generators[0], G.generators[2])])
+        assert 1 < N.order() < order
+        assert G.generators == gens and G.order() == order
+        assert G._levels() is chain
+        assert [(lv.point, lv.gens, lv.transversal) for lv in chain] == snapshot
+
     def test_commutator_trivial_cases(self):
         G = iterated_wreath_sylow(2, 2)
         triv = PermGroup(4)
@@ -226,6 +241,18 @@ class TestCentralSeries:
     def test_class_values(self):
         assert nilpotency_class(PermGroup(3)) == 0
         assert nilpotency_class(cyclic(5)) == 1
+
+    @pytest.mark.parametrize("p, k", [(2, 4), (2, 5)])
+    def test_terms_keep_at_most_log_p_generators(self, p, k):
+        # every generator a normal closure keeps enlarges the term by a
+        # factor of at least p
+        for term in lower_central_series(iterated_wreath_sylow(p, k)).terms:
+            assert p ** len(term.generators) <= term.order()
+
+    def test_construct_degree32_tower(self, capsys):
+        blueprint = '{"kind":"sylow-wreath","params":{"p":2,"k":5}}'
+        assert main(["construct", "--blueprint", blueprint]) == 0
+        assert json.loads(capsys.readouterr().out)["realized"] is True
 
     def test_series_containment(self, corpus):
         for _, G in corpus:

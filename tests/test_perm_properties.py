@@ -57,3 +57,15 @@ def test_membership_rejects_outsiders(G, data):
     candidate = data.draw(permutations_of(G.degree))
     closure = naive_closure(G.degree, G.generators, limit=1000)
     assert (candidate in G) == (candidate.images in closure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(), st.data())
+def test_normal_closure_matches_naive_closure(G, data):
+    closure = sorted(naive_closure(G.degree, G.generators, limit=1000))
+    elements = [Permutation(images) for images in closure]
+    seed = data.draw(st.sampled_from(elements))
+    conjugates = [seed.conjugate(g) for g in elements]
+    assert G.normal_closure([seed]).order() == len(
+        naive_closure(G.degree, conjugates, limit=1000)
+    )
