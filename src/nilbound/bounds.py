@@ -9,15 +9,24 @@ always evaluated as the geometric *sum* so that s_i = 0 contributes 1 and
 s_i = 1 contributes i.  The maximum of T over all compositions of k into c
 non-negative parts is the upper bound on the log_p-order of a nilpotent
 transitive group of degree p^k and class at most c.
+
+f_upper and best_composition share one cached suffix dynamic program: the
+best score of parts i..c after a prefix sum s is the maximum over the next part
+t of t * (1 + s + ... + s^(i-1)) plus the best score of parts i+1..c after
+s + t.  The smallest such t, part by part, gives the lexicographically least
+witness.  The closed forms f_closed for c <= 4 cross-check it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
+
+from .perm import GuardExceeded
 
 
 @dataclass(frozen=True)
@@ -59,67 +68,54 @@ def composition_value(a: Composition | tuple[int, ...]) -> int:
     return total
 
 
-def compositions(k: int, c: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of k into c non-negative parts, lexicographically."""
-    if c == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in compositions(k - first, c - 1):
-            yield (first, *rest)
+# Every admitted cell finishes in about a second, its scores far below the
+# 4300 digits past which Python refuses to print an int.
+DP_CELL_LIMIT = 4_000_000
+SCORE_DIGIT_LIMIT = 1000
 
 
 @functools.lru_cache(maxsize=None)
 def _maximize(k: int, c: int) -> tuple[int, tuple[int, ...]]:
-    best = -1
-    best_parts: tuple[int, ...] = ()
-    for parts in compositions(k, c):
-        value = composition_value(parts)
-        if value > best:
-            best = value
-            best_parts = parts
-    return best, best_parts
+    """f_upper(k, c) and its lexicographically least witness (module docstring)."""
+    if k < 1 or c < 1:
+        raise ValueError("k and c must be positive")
+    cells, digits = k * k * c, math.ceil(c * math.log10(k + 1))
+    if cells > DP_CELL_LIMIT:
+        raise GuardExceeded(f"f_upper needs k*k*c = {cells} DP cells, "
+                            f"over the limit {DP_CELL_LIMIT}")
+    if digits > SCORE_DIGIT_LIMIT:
+        raise GuardExceeded(f"f_upper scores reach c*log10(k+1) = {digits} digits, "
+                            f"over the limit {SCORE_DIGIT_LIMIT}")
+    # best[i][s]: the best score of parts i..c after the prefix sum s
+    best = [[]] * c + [[(k - s) * _geometric_sum(s, c) for s in range(k + 1)]]
+    for i in range(c - 1, 0, -1):
+        # t * g for t = 0..k-s, paired with best[i + 1][s + t]
+        best[i] = [max(map(operator.add, range(0, (k - s) * g + 1, g), best[i + 1][s:]))
+                   for s, g in enumerate(_geometric_sum(s, i) for s in range(k + 1))]
+    parts, s = [], 0
+    for i in range(1, c):
+        g = _geometric_sum(s, i)
+        parts.append(next(t for t in range(k - s + 1) if t * g + best[i + 1][s + t] == best[i][s]))
+        s += parts[-1]
+    parts.append(k - s)
+    if composition_value(parts) != best[1][0]:
+        raise ArithmeticError(f"witness {parts} does not score f_upper({k}, {c}) = {best[1][0]}")
+    return best[1][0], tuple(parts)
 
 
 def f_upper(k: int, c: int) -> int:
     """Exact maximum of the composition score over compositions of k into c
     non-negative parts."""
-    if k < 1 or c < 1:
-        raise ValueError("k and c must be positive")
     return _maximize(k, c)[0]
+
+
+# the dynamic program is f_upper itself; the name stays for callers using it
+f_upper_dp = f_upper
 
 
 def best_composition(k: int, c: int) -> Composition:
     """The lexicographically least composition achieving f_upper(k, c)."""
-    if k < 1 or c < 1:
-        raise ValueError("k and c must be positive")
     return Composition(_maximize(k, c)[1])
-
-
-def f_upper_dp(k: int, c: int) -> int:
-    """Prefix-sum dynamic program for f_upper; value only.
-
-    State (i, s) is the best score over the first i parts summing to s; the
-    transition adds part t with score t * geometric_sum(s - t, i).
-    """
-    if k < 1 or c < 1:
-        raise ValueError("k and c must be positive")
-    neg = -1
-    prev = [0] + [neg] * k
-    for i in range(1, c + 1):
-        cur = [neg] * (k + 1)
-        for s in range(k + 1):
-            best = neg
-            for t in range(s + 1):
-                base = prev[s - t]
-                if base < 0:
-                    continue
-                value = base + t * _geometric_sum(s - t, i)
-                if value > best:
-                    best = value
-            cur[s] = best
-        prev = cur
-    return prev[k]
 
 
 _TABLE1 = {
@@ -211,19 +207,17 @@ def monomial_count(v: int, i: int, p: int) -> int:
     return coeffs[i] if i < len(coeffs) else 0
 
 
-def prime_base(q: int) -> int:
-    """The prime p with q = p^a, or raise if q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = q
-            while n % p == 0:
-                n //= p
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p
-    raise ValueError(f"{q} is not a prime power")
+def prime_power(n: int) -> tuple[int, int]:
+    """(p, e) with n = p^e for a prime p, by trial division up to sqrt(n)."""
+    if n < 2:
+        raise ValueError(f"{n} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    e, m = 0, n
+    while m % p == 0:
+        m, e = m // p, e + 1
+    if m != 1:
+        raise ValueError(f"{n} is not a prime power")
+    return p, e
 
 
 def combine_multiplicative(factors: Mapping[int, int]) -> int:
@@ -235,7 +229,7 @@ def combine_multiplicative(factors: Mapping[int, int]) -> int:
     total = 1
     seen_bases = set()
     for q in sorted(factors):
-        p = prime_base(q)
+        p, _ = prime_power(q)
         if p in seen_bases:
             raise ValueError(f"repeated prime base {p}")
         seen_bases.add(p)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bounds, search
-from .constructions import GroupBlueprint, blueprint_from_json, realize
+from .constructions import GroupBlueprint, blueprint_from_json, realize, require_prime
 from .perm import (
     GuardExceeded,
     NotNilpotentError,
@@ -38,17 +38,6 @@ def _emit_json(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _read_json_arg(value: str) -> dict:
     """Parse an inline JSON string, a path, or '-' for stdin."""
     if value == "-":
@@ -71,8 +60,7 @@ def _read_json_arg(value: str) -> dict:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    if not _is_prime(args.p):
-        raise _UsageError(f"p must be prime, got {args.p}")
+    require_prime(args.p)
     if args.k < 1 or args.c < 1:
         raise _UsageError("k and c must be positive")
     report = bounds.bound_report(args.p, args.k, args.c)
@@ -169,23 +157,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "lower_central_orders": series.order_profile(),
     }
     try:
-        p = bounds.prime_base(group.order()) if group.order() > 1 else None
+        analysis["log_p_order"] = bounds.prime_power(group.order())[1]
     except ValueError:
-        p = None
-    if p is not None:
-        e = 0
-        n = group.order()
-        while n > 1:
-            n //= p
-            e += 1
-        analysis["log_p_order"] = e
+        pass
     _emit_json(analysis)
     return EXIT_OK
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if not _is_prime(args.p):
-        raise _UsageError(f"p must be prime, got {args.p}")
+    require_prime(args.p)
     budget = args.budget if args.budget is not None else search.default_budget()
     row = search.fnil_exact(
         args.p, args.k, args.cmax, dedupe=args.dedupe, max_count=budget

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import monomial_count, prime_base
+from .bounds import monomial_count, prime_power
 from .perm import GuardExceeded, PermGroup, Permutation
 
 SYLOW_DEGREE_GUARD = 32
@@ -342,15 +342,11 @@ class GroupBlueprint:
     @property
     def log_p_order(self) -> int | None:
         try:
-            p = prime_base(self.degree)
+            p, _ = prime_power(self.degree)
+            q, e = prime_power(self.order)
         except ValueError:
             return None
-        e = 0
-        n = self.order
-        while n % p == 0 and n > 1:
-            n //= p
-            e += 1
-        return e if n == 1 else None
+        return e if q == p else None
 
     def prediction_json(self) -> dict:
         return {
@@ -367,10 +363,30 @@ class GroupBlueprint:
         return {"kind": self.kind, "params": params}
 
 
+def _int_params(params: dict, *names: str) -> tuple[int, ...]:
+    """The named params, each required to be an int (bool is not)."""
+    values = tuple(params[name] for name in names)
+    for name, value in zip(names, values):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"need an integer {name}, got {name}={value!r}")
+    return values
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is prime."""
+    try:
+        prime = prime_power(p)[1] == 1
+    except ValueError:
+        prime = False
+    if not prime:
+        raise ValueError(f"p must be prime, got {p}")
+
+
 def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
     """Validate parameters and compute the predictions for one construction."""
     if kind == "affine-unitriangular":
-        p, k, m = params["p"], params["k"], params["m"]
+        p, k, m = _int_params(params, "p", "k", "m")
+        require_prime(p)
         if not 0 <= m <= k:
             raise ValueError(f"m={m} out of range 0..{k}")
         cls = 2 if k > 1 and 1 <= m <= k - 1 else 1
@@ -378,7 +394,8 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
             kind, {"p": p, "k": k, "m": m}, p**k, p ** (k + m * (k - m)), cls
         )
     if kind == "abelian-class2":
-        p, k, m, a = params["p"], params["k"], params["m"], params["a"]
+        p, k, m, a = _int_params(params, "p", "k", "m", "a")
+        require_prime(p)
         if not 0 <= m <= k or not 0 <= a <= min(m, k - m):
             raise ValueError("parameter constraints violated")
         cls = 2 if k > 1 and 1 <= m <= k - 1 else 1
@@ -390,14 +407,16 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
             cls,
         )
     if kind == "sylow-wreath":
-        p, k = params["p"], params["k"]
+        p, k = _int_params(params, "p", "k")
         if p < 2 or k < 1:
             raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
+        require_prime(p)
         return GroupBlueprint(
             kind, {"p": p, "k": k}, p**k, p ** sylow_exponent(p, k), p ** (k - 1)
         )
     if kind == "wreath-polynomial":
-        p, u, v, c = params["p"], params["u"], params["v"], params["c"]
+        p, u, v, c = _int_params(params, "p", "u", "v", "c")
+        require_prime(p)
         if c < 1:
             raise ValueError(f"need c >= 1, got c={c}")
         return GroupBlueprint(
@@ -408,7 +427,7 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
             c,
         )
     if kind == "dihedral-abelian":
-        k, c = params["k"], params["c"]
+        k, c = _int_params(params, "k", "c")
         if not 1 <= c <= k - 1:
             raise ValueError(f"need 1 <= c <= k-1, got c={c}, k={k}")
         return GroupBlueprint(kind, {"k": k, "c": c}, 2**k, 2**k, c)

@@ -134,15 +134,6 @@ class _Tables:
         return PermGroup(self.degree, gens)
 
 
-def _prime_power(n: int) -> tuple[int, int]:
-    p = bounds.prime_base(n)
-    k = 0
-    while n > 1:
-        n //= p
-        k += 1
-    return p, k
-
-
 def _iter_subgroup_sets(
     tables: _Tables, p: int, dedupe: str, max_count: int
 ) -> Iterator[frozenset[int]]:
@@ -214,7 +205,7 @@ def enumerate_subgroups(
     """Stream every subgroup of the p-group S exactly once (set mode) or one
     representative per S-conjugacy class (conjugacy mode)."""
     order = S.order()
-    p, _ = _prime_power(order) if order > 1 else (2, 0)
+    p, _ = bounds.prime_power(order) if order > 1 else (2, 0)
     if max_order is None:
         max_order = 128 if p == 2 else 81 if p == 3 else p
     if order > max_order:
@@ -289,7 +280,7 @@ def fnil_exact(
         subgroup = best[c - 1]
         if subgroup is None:
             raise AssertionError(f"no transitive subgroup found for class {c}")
-        _, e = _prime_power(len(subgroup)) if len(subgroup) > 1 else (p, 0)
+        _, e = bounds.prime_power(len(subgroup)) if len(subgroup) > 1 else (p, 0)
         exponents.append(e)
         witnesses.append(tables.to_perm_group(subgroup))
     return SearchRow(p, k, c_max, tuple(exponents), tuple(witnesses))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from nilbound.bounds import composition_value
 from nilbound.constructions import (
     abelian_class2_group,
     affine_unitriangular,
@@ -39,6 +40,27 @@ def naive_closure(degree: int, gens, limit: int = NAIVE_CLOSURE_LIMIT) -> set[tu
                 closed.add(c)
                 frontier.append(c)
     return closed
+
+
+def compositions(k: int, c: int):
+    """All compositions of k into c non-negative parts, lexicographically."""
+    if c == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in compositions(k - first, c - 1):
+            yield (first, *rest)
+
+
+def brute_force_maximum(k: int, c: int) -> tuple[int, tuple[int, ...]]:
+    """The composition maximum and its lexicographically least witness, by
+    scoring every composition (oracle for the dynamic program)."""
+    best, witness = -1, ()
+    for parts in compositions(k, c):
+        value = composition_value(parts)
+        if value > best:
+            best, witness = value, parts
+    return best, witness
 
 
 def cyclic(n: int) -> PermGroup:

@@ -17,14 +17,16 @@ from nilbound.bounds import (
     class2_exponent,
     combine_multiplicative,
     composition_value,
-    compositions,
     elementary_bound,
     f_closed,
     f_upper,
     f_upper_dp,
     fraction_json,
     monomial_count,
+    prime_power,
 )
+
+from conftest import brute_force_maximum, compositions
 
 
 class TestCompositionValue:
@@ -68,13 +70,16 @@ class TestFUpper:
 
     def test_witness_is_lexicographically_least(self):
         # every lex-smaller composition scores strictly less
-        k, c = 6, 3
-        witness = best_composition(k, c).parts
-        best = f_upper(k, c)
-        for parts in compositions(k, c):
-            if parts == witness:
-                break
-            assert composition_value(parts) < best
+        for k in range(1, 11):
+            for c in range(1, 6):
+                witness = best_composition(k, c).parts
+                best = f_upper(k, c)
+                for parts in compositions(k, c):
+                    if parts == witness:
+                        break
+                    assert composition_value(parts) < best, (k, c, parts)
+                else:
+                    raise AssertionError(f"witness {witness} is no composition of {k}")
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -85,7 +90,9 @@ class TestFUpper:
     def test_dp_agrees_with_enumeration(self):
         for k in range(1, 21):
             for c in range(1, 7):
-                assert f_upper_dp(k, c) == f_upper(k, c), (k, c)
+                value, witness = brute_force_maximum(k, c)
+                assert f_upper_dp(k, c) == f_upper(k, c) == value, (k, c)
+                assert best_composition(k, c).parts == witness, (k, c)
 
 
 class TestClosedForms:
@@ -208,6 +215,17 @@ class TestCombineMultiplicative:
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):
             combine_multiplicative({6: 1})
+
+
+def test_prime_power_against_factorint():
+    sympy = pytest.importorskip("sympy")
+    for n in range(0, 3000):
+        factors = sympy.factorint(n)
+        if n >= 2 and len(factors) == 1:
+            assert prime_power(n) == next(iter(factors.items())), n
+        else:
+            with pytest.raises(ValueError, match="is not a prime power"):
+                prime_power(n)
 
 
 class TestBoundReport:

@@ -48,6 +48,26 @@ class TestBound:
         assert code == EXIT_USAGE
         assert "prime" in err
 
+    @pytest.mark.parametrize("k,c", [(40, 8), (300, 8)])
+    def test_large_cells_finish(self, capsys, k, c):
+        code, out, _ = run(capsys, "bound", "--p", "2", "--k", str(k), "--c", str(c), "--json")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert sum(data["witness_composition"]) == k
+        assert len(data["witness_composition"]) == c
+
+    @pytest.mark.parametrize(
+        "k,c,message",
+        [
+            (3, 3000, "f_upper scores reach c*log10(k+1) = 1807 digits, over the limit 1000"),
+            (2, 20000, "f_upper scores reach c*log10(k+1) = 9543 digits, over the limit 1000"),
+            (3000, 3, "f_upper needs k*k*c = 27000000 DP cells, over the limit 4000000"),
+        ],
+    )
+    def test_guard_names_quantity_and_limit(self, capsys, k, c, message):
+        code, out, err = run(capsys, "bound", "--p", "2", "--k", str(k), "--c", str(c))
+        assert (code, out, err) == (EXIT_GUARD, "", f"refused: {message}\n")
+
 
 class TestConstruct:
     def test_affine_blueprint(self, capsys):
@@ -112,6 +132,23 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--blueprint", blueprint)
         assert code == EXIT_USAGE
         assert err.startswith("error: invalid blueprint: need ")
+
+    @pytest.mark.parametrize(
+        "blueprint,message",
+        [
+            ('{"kind":"dihedral-abelian","params":{"k":2.5,"c":1}}', "need an integer k, got k=2.5"),
+            ('{"kind":"sylow-wreath","params":{"p":true,"k":2}}', "need an integer p, got p=True"),
+            ('{"kind":"sylow-wreath","params":{"p":4,"k":2}}', "p must be prime, got 4"),
+            ('{"kind":"affine-unitriangular","params":{"p":4,"k":2,"m":1}}', "p must be prime, got 4"),
+            ('{"kind":"abelian-class2","params":{"p":6,"k":2,"m":1,"a":0}}', "p must be prime, got 6"),
+            ('{"kind":"wreath-polynomial","params":{"p":9,"u":1,"v":1,"c":2}}', "p must be prime, got 9"),
+        ],
+        ids=["float-k", "bool-p", "sylow-wreath-p4", "affine-p4", "abelian-class2-p6",
+             "wreath-polynomial-p9"],
+    )
+    def test_non_integer_or_non_prime_params_are_invalid_blueprints(self, capsys, blueprint, message):
+        code, out, err = run(capsys, "construct", "--blueprint", blueprint)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: invalid blueprint: {message}\n")
 
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "construct", "--blueprint", '{"kind": ')
