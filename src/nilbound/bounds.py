@@ -79,10 +79,11 @@ def _maximize(k: int, c: int) -> tuple[int, tuple[int, ...]]:
     """f_upper(k, c) and its lexicographically least witness (module docstring)."""
     if k < 1 or c < 1:
         raise ValueError("k and c must be positive")
-    cells, digits = k * k * c, math.ceil(c * math.log10(k + 1))
+    cells = k * k * c
     if cells > DP_CELL_LIMIT:
         raise GuardExceeded(f"f_upper needs k*k*c = {cells} DP cells, "
                             f"over the limit {DP_CELL_LIMIT}")
+    digits = math.ceil(c * math.log10(k + 1))
     if digits > SCORE_DIGIT_LIMIT:
         raise GuardExceeded(f"f_upper scores reach c*log10(k+1) = {digits} digits, "
                             f"over the limit {SCORE_DIGIT_LIMIT}")

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bounds, search
-from .constructions import GroupBlueprint, blueprint_from_json, realize, require_prime
+from .constructions import DEGREE_GUARD, GroupBlueprint, blueprint_from_json, realize, require_prime
 from .perm import (
     GuardExceeded,
     NotNilpotentError,
@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_INVARIANT = 3
-
-CENTER_SCAN_LIMIT = 1_000_000
 
 
 class _UsageError(Exception):
@@ -139,10 +137,13 @@ def _load_group(value: str) -> PermGroup:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     group = _load_group(args.group)
+    # the degrees construct realizes: a 512-cycle takes ~10x as long as a 256-cycle
+    if group.degree > DEGREE_GUARD:
+        raise GuardExceeded(f"analyze of degree {group.degree} is over the limit {DEGREE_GUARD}")
     series = lower_central_series(group)
     cls = series.nilpotency_class
     try:
-        center_order = center(group, CENTER_SCAN_LIMIT).order()
+        center_order = center(group).order()
     except GuardExceeded:
         center_order = None
     analysis = {
@@ -192,6 +193,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.table1:
         kmax = args.kmax
+        # the sum of k*k*c over k <= kmax, c <= 4
+        cells = 10 * kmax * (kmax + 1) * (2 * kmax + 1) // 6
+        if cells > bounds.DP_CELL_LIMIT:
+            raise GuardExceeded(f"table --table1 --kmax {kmax} needs sum of k*k*c = {cells} "
+                                f"DP cells, over the limit {bounds.DP_CELL_LIMIT}")
         print("composition maximum F(k,c) for c <= 4, cross-checked against closed forms")
         header = f"{'k':>3} | " + " ".join(f"{f'c={c}':>8}" for c in range(1, 5)) + " | closed-form"
         print(header)
@@ -279,17 +285,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # RecursionError comes only from input nested too deeply: JSON, product blueprints
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, NotNilpotentError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except NotNilpotentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

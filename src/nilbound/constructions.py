@@ -10,13 +10,28 @@ bit-for-bit:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .bounds import monomial_count, prime_power
+from .bounds import SCORE_DIGIT_LIMIT, prime_power
 from .perm import GuardExceeded, PermGroup, Permutation
 
+# Realization degree limits.  Every degree-256 group of the other kinds builds
+# and verifies in a few seconds; the tower and the polynomial groups have long
+# lower central series, so they stop lower.
 SYLOW_DEGREE_GUARD = 32
 WREATH_POLY_DEGREE_GUARD = 64
+DEGREE_GUARD = 256
+
+# require_prime divides by every d <= sqrt(p): about 0.1 s at this limit
+PRIME_LIMIT = 2**40
+
+
+def _guard_degree(degree: int, limit: int) -> None:
+    if degree > limit:
+        raise GuardExceeded(f"degree {degree} exceeds realization guard {limit}")
 
 
 def _vector_index(v: tuple[int, ...], p: int) -> int:
@@ -28,15 +43,7 @@ def _vector_index(v: tuple[int, ...], p: int) -> int:
 
 def _vectors(p: int, length: int):
     """All vectors of F_p^length, in index order."""
-    out = []
-    for index in range(p**length):
-        v = []
-        n = index
-        for _ in range(length):
-            n, digit = divmod(n, p)
-            v.append(digit)
-        out.append(tuple(v))
-    return out
+    return [v[::-1] for v in itertools.product(range(p), repeat=length)]
 
 
 def affine_unitriangular(p: int, k: int, m: int) -> PermGroup:
@@ -95,14 +102,7 @@ def abelian_class2_group(p: int, k: int, m: int, a: int) -> PermGroup:
             index = index * radix + digit
         return index
 
-    points: list[tuple[int, ...]] = []
-    for index in range(degree):
-        digits = []
-        n = index
-        for radix in reversed(radices):
-            n, digit = divmod(n, radix)
-            digits.append(digit)
-        points.append(tuple(reversed(digits)))
+    points = list(itertools.product(*map(range, radices)))  # in index order
 
     def add(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % r for x, y, r in zip(v, w, radices))
@@ -165,7 +165,7 @@ def product_action(G: PermGroup, H: PermGroup) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-def iterated_wreath_sylow(p: int, k: int, max_degree: int = SYLOW_DEGREE_GUARD) -> PermGroup:
+def iterated_wreath_sylow(p: int, k: int) -> PermGroup:
     """The k-fold iterated wreath tower of the p-cycle, acting on p^k points.
 
     Level j contributes the generator x -> x + p^(j-1) mod p^j on the first
@@ -174,10 +174,7 @@ def iterated_wreath_sylow(p: int, k: int, max_degree: int = SYLOW_DEGREE_GUARD) 
     points.
     """
     degree = p**k
-    if degree > max_degree:
-        raise GuardExceeded(
-            f"degree {degree} exceeds wreath tower guard {max_degree}"
-        )
+    _guard_degree(degree, SYLOW_DEGREE_GUARD)
     gens: list[Permutation] = []
     for j in range(1, k + 1):
         block = p**j
@@ -197,28 +194,27 @@ def sylow_exponent(p: int, k: int) -> int:
 def _reduced_monomials(v: int, p: int, max_degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples in v variables, entries <= p-1, total degree <= max_degree,
     in a fixed deterministic order."""
-    monos: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == v:
-            monos.append(prefix)
-            return
-        for e in range(min(p - 1, remaining) + 1):
-            extend(prefix + (e,), remaining - e)
-
-    extend((), max_degree)
+    monos = [m for m in itertools.product(range(p), repeat=v) if sum(m) <= max_degree]
     return sorted(monos, key=lambda m: (sum(m), m))
 
 
 def wreath_polynomial_exponent(p: int, u: int, v: int, c: int) -> int:
-    """Predicted log_p order: v + u * (number of reduced monomials of degree < c)."""
-    m_total = sum(monomial_count(v, i, p) for i in range(c))
+    """Predicted log_p order: v + u * M, with M the number of reduced monomials
+    in v variables of total degree < c.
+
+    No reduced monomial has degree above d = v(p-1), so the count stops there.
+    By inclusion-exclusion over the j variables whose exponent would reach p,
+    M = sum_j (-1)^j C(v, j) C(v + d - jp, v) with d = min(c - 1, v(p-1)).
+    """
+    d = min(c - 1, v * (p - 1))
+    m_total = sum(
+        (-1) ** j * math.comb(v, j) * math.comb(v + d - j * p, v)
+        for j in range(min(v, d // p) + 1)
+    )
     return v + u * m_total
 
 
-def wreath_polynomial_group(
-    p: int, u: int, v: int, c: int, max_degree: int = WREATH_POLY_DEGREE_GUARD
-) -> PermGroup:
+def wreath_polynomial_group(p: int, u: int, v: int, c: int) -> PermGroup:
     """Pairs (f, t) acting on F_p^u x F_p^v by (x, y) -> (x + f(y), y + t),
     where f ranges over the reduced polynomial maps of total degree < c.
 
@@ -228,10 +224,7 @@ def wreath_polynomial_group(
     p^(v + u*M) with M the reduced-monomial count; class at most c.
     """
     degree = p ** (u + v)
-    if degree > max_degree:
-        raise GuardExceeded(
-            f"degree {degree} exceeds realization guard {max_degree}"
-        )
+    _guard_degree(degree, WREATH_POLY_DEGREE_GUARD)
     us = _vectors(p, u)
     vs = _vectors(p, v)
     nv = len(vs)
@@ -313,24 +306,14 @@ def dihedral_times_abelian(k: int, c: int) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-BLUEPRINT_KINDS = (
-    "affine-unitriangular",
-    "abelian-class2",
-    "product",
-    "sylow-wreath",
-    "wreath-polynomial",
-    "dihedral-abelian",
-)
-
-
 @dataclass(frozen=True)
 class GroupBlueprint:
     """A construction recipe with its predicted degree, order and class bound.
 
     For the product kind, params carries the two factor blueprints under
-    "factors"; every other kind uses integer parameters only.  log_p_order
-    is None when the predicted degree is not a prime power (mixed-prime
-    products); order is always the exact predicted group order.
+    "factors"; every other kind uses integer parameters only.  p_power is
+    (p, e) when the degree is a positive power of the prime p and the order is
+    p^e, else None (degree 1, mixed-prime products).
     """
 
     kind: str
@@ -338,15 +321,11 @@ class GroupBlueprint:
     degree: int
     order: int
     class_bound: int
+    p_power: tuple[int, int] | None
 
     @property
     def log_p_order(self) -> int | None:
-        try:
-            p, _ = prime_power(self.degree)
-            q, e = prime_power(self.order)
-        except ValueError:
-            return None
-        return e if q == p else None
+        return self.p_power and self.p_power[1]
 
     def prediction_json(self) -> dict:
         return {
@@ -363,17 +342,51 @@ class GroupBlueprint:
         return {"kind": self.kind, "params": params}
 
 
-def _int_params(params: dict, *names: str) -> tuple[int, ...]:
-    """The named params, each required to be an int (bool is not)."""
-    values = tuple(params[name] for name in names)
-    for name, value in zip(names, values):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"need an integer {name}, got {name}={value!r}")
-    return values
+@dataclass(frozen=True)
+class _Kind:
+    """A blueprint kind.  Its functions take the integer params by name:
+    ranges gives (low, high or None) per checked param (a param p must also
+    be prime), degree gives (p, k) for degree p^k, predict gives the order's
+    log_p and the class bound, and build realizes up to degree_limit."""
+
+    params: tuple[str, ...]
+    ranges: Callable[..., dict[str, tuple[int, int | None]]]
+    degree: Callable[..., tuple[int, int]]
+    predict: Callable[..., tuple[int, int]]
+    build: Callable[..., PermGroup]
+    degree_limit: int
+
+
+_KINDS = {
+    "affine-unitriangular": _Kind(
+        ("p", "k", "m"), lambda p, k, m: {"p": (2, None), "k": (0, None), "m": (0, k)},
+        lambda p, k, m: (p, k), lambda p, k, m: (k + m * (k - m), 2 if 0 < m < k else 1),
+        affine_unitriangular, DEGREE_GUARD),
+    "abelian-class2": _Kind(
+        ("p", "k", "m", "a"),
+        lambda p, k, m, a: {"p": (2, None), "k": (0, None), "m": (0, k), "a": (0, min(m, k - m))},
+        lambda p, k, m, a: (p, k), lambda p, k, m, a: (k + m * (k - m), 2 if 0 < m < k else 1),
+        abelian_class2_group, DEGREE_GUARD),
+    "sylow-wreath": _Kind(
+        ("p", "k"), lambda p, k: {"p": (2, None), "k": (1, None)},
+        lambda p, k: (p, k), lambda p, k: (sylow_exponent(p, k), p ** (k - 1)),
+        iterated_wreath_sylow, SYLOW_DEGREE_GUARD),
+    "wreath-polynomial": _Kind(
+        ("p", "u", "v", "c"),
+        lambda p, u, v, c: {"p": (2, None), "u": (0, None), "v": (0, None), "c": (1, None)},
+        lambda p, u, v, c: (p, u + v), lambda p, u, v, c: (wreath_polynomial_exponent(p, u, v, c), c),
+        wreath_polynomial_group, WREATH_POLY_DEGREE_GUARD),
+    "dihedral-abelian": _Kind(
+        ("k", "c"), lambda k, c: {"k": (2, None), "c": (1, k - 1)},
+        lambda k, c: (2, k), lambda k, c: (k, c),
+        dihedral_times_abelian, DEGREE_GUARD),
+}
 
 
 def require_prime(p: int) -> None:
-    """Raise ValueError unless p is prime."""
+    """Raise ValueError unless p is prime, GuardExceeded past PRIME_LIMIT."""
+    if p > PRIME_LIMIT:
+        raise GuardExceeded(f"p = {p} is over the primality check limit {PRIME_LIMIT}")
     try:
         prime = prime_power(p)[1] == 1
     except ValueError:
@@ -382,71 +395,61 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _guard_digits(quantity: str, p: int, e: int) -> None:
+    """Refuse a predicted p^e of over SCORE_DIGIT_LIMIT digits, judged from e."""
+    limit = int(SCORE_DIGIT_LIMIT / math.log10(p))
+    if e > limit:
+        raise GuardExceeded(f"predicted {quantity} {p}^{e} is over the limit "
+                            f"{p}^{limit} ({SCORE_DIGIT_LIMIT} digits)")
+
+
 def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
-    """Validate parameters and compute the predictions for one construction."""
-    if kind == "affine-unitriangular":
-        p, k, m = _int_params(params, "p", "k", "m")
-        require_prime(p)
-        if not 0 <= m <= k:
-            raise ValueError(f"m={m} out of range 0..{k}")
-        cls = 2 if k > 1 and 1 <= m <= k - 1 else 1
-        return GroupBlueprint(
-            kind, {"p": p, "k": k, "m": m}, p**k, p ** (k + m * (k - m)), cls
-        )
-    if kind == "abelian-class2":
-        p, k, m, a = _int_params(params, "p", "k", "m", "a")
-        require_prime(p)
-        if not 0 <= m <= k or not 0 <= a <= min(m, k - m):
-            raise ValueError("parameter constraints violated")
-        cls = 2 if k > 1 and 1 <= m <= k - 1 else 1
-        return GroupBlueprint(
-            kind,
-            {"p": p, "k": k, "m": m, "a": a},
-            p**k,
-            p ** (k + m * (k - m)),
-            cls,
-        )
-    if kind == "sylow-wreath":
-        p, k = _int_params(params, "p", "k")
-        if p < 2 or k < 1:
-            raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
-        require_prime(p)
-        return GroupBlueprint(
-            kind, {"p": p, "k": k}, p**k, p ** sylow_exponent(p, k), p ** (k - 1)
-        )
-    if kind == "wreath-polynomial":
-        p, u, v, c = _int_params(params, "p", "u", "v", "c")
-        require_prime(p)
-        if c < 1:
-            raise ValueError(f"need c >= 1, got c={c}")
-        return GroupBlueprint(
-            kind,
-            {"p": p, "u": u, "v": v, "c": c},
-            p ** (u + v),
-            p ** wreath_polynomial_exponent(p, u, v, c),
-            c,
-        )
-    if kind == "dihedral-abelian":
-        k, c = _int_params(params, "k", "c")
-        if not 1 <= c <= k - 1:
-            raise ValueError(f"need 1 <= c <= k-1, got c={c}, k={k}")
-        return GroupBlueprint(kind, {"k": k, "c": c}, 2**k, 2**k, c)
+    """Validate parameters and compute the predictions for one construction.
+
+    Raises ValueError for an unknown kind or a bad param, GuardExceeded for a
+    predicted degree or order past SCORE_DIGIT_LIMIT digits.
+    """
     if kind == "product":
-        factors = [
-            f if isinstance(f, GroupBlueprint) else blueprint_from_json(f)
-            for f in params["factors"]
-        ]
-        if len(factors) != 2:
-            raise ValueError("product takes exactly two factors")
-        left, right = factors
-        return GroupBlueprint(
-            kind,
-            {"factors": factors},
-            left.degree * right.degree,
-            left.order * right.order,
-            max(left.class_bound, right.class_bound),
-        )
-    raise ValueError(f"unknown blueprint kind {kind!r}")
+        return _product_blueprint(params)
+    if kind not in _KINDS:
+        raise ValueError(f"unknown blueprint kind {kind!r}, "
+                         f"expected one of {', '.join([*_KINDS, 'product'])}")
+    entry = _KINDS[kind]
+    values = {name: params[name] for name in entry.params}
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"need an integer {name}, got {name}={value!r}")
+    for name, (low, high) in entry.ranges(**values).items():
+        if values[name] < low or high is not None and values[name] > high:
+            bound = f"{name} >= {low}" if high is None else f"{low} <= {name} <= {high}"
+            raise ValueError(f"need {bound}, got {name}={values[name]}")
+    if "p" in values:
+        require_prime(values["p"])
+    p, k = entry.degree(**values)
+    _guard_digits("degree", p, k)
+    e, class_bound = entry.predict(**values)
+    _guard_digits("order", p, e)
+    return GroupBlueprint(kind, values, p**k, p**e, class_bound, (p, e) if k else None)
+
+
+def _product_blueprint(params: dict) -> GroupBlueprint:
+    factors = [
+        f if isinstance(f, GroupBlueprint) else blueprint_from_json(f)
+        for f in params["factors"]
+    ]
+    if len(factors) != 2:
+        raise ValueError("product takes exactly two factors")
+    left, right = factors
+    lp, rp = left.p_power, right.p_power
+    if lp and rp:
+        p_power = (lp[0], lp[1] + rp[1]) if lp[0] == rp[0] else None
+    else:  # a degree-1 factor keeps the other's; mixed primes stay mixed
+        p_power = lp or rp if 1 in (left.degree, right.degree) else None
+    order = left.order * right.order
+    # mixed primes have no common exponent: judge the order by its digits
+    _guard_digits("order", *(p_power or (10, len(str(order)) - 1)))
+    return GroupBlueprint("product", {"factors": factors}, left.degree * right.degree, order,
+                          max(left.class_bound, right.class_bound), p_power)
 
 
 def blueprint_from_json(data: dict) -> GroupBlueprint:
@@ -456,23 +459,12 @@ def blueprint_from_json(data: dict) -> GroupBlueprint:
 def realize(blueprint: GroupBlueprint) -> PermGroup:
     """Build the permutation group a blueprint describes.
 
-    Raises GuardExceeded for realizations past the degree guards; callers
-    that want the prediction only should use blueprint.prediction_json().
+    Raises GuardExceeded past the kind's degree limit before building
+    anything; a product is checked on its own degree before its factors.
+    Callers that want the prediction only use blueprint.prediction_json().
     """
-    kind, params = blueprint.kind, blueprint.params
-    if kind == "affine-unitriangular":
-        return affine_unitriangular(params["p"], params["k"], params["m"])
-    if kind == "abelian-class2":
-        return abelian_class2_group(params["p"], params["k"], params["m"], params["a"])
-    if kind == "sylow-wreath":
-        return iterated_wreath_sylow(params["p"], params["k"])
-    if kind == "wreath-polynomial":
-        return wreath_polynomial_group(
-            params["p"], params["u"], params["v"], params["c"]
-        )
-    if kind == "dihedral-abelian":
-        return dihedral_times_abelian(params["k"], params["c"])
-    if kind == "product":
-        left, right = params["factors"]
-        return product_action(realize(left), realize(right))
-    raise ValueError(f"unknown blueprint kind {kind!r}")
+    product = blueprint.kind == "product"
+    _guard_degree(blueprint.degree, DEGREE_GUARD if product else _KINDS[blueprint.kind].degree_limit)
+    if product:
+        return product_action(*map(realize, blueprint.params["factors"]))
+    return _KINDS[blueprint.kind].build(**blueprint.params)

@@ -402,7 +402,7 @@ class PermGroup:
     @classmethod
     def from_json(cls, data: dict) -> PermGroup:
         degree = data["degree"]
-        if not isinstance(degree, int) or degree < 1:
+        if type(degree) is not int or degree < 1:  # bool is not a degree
             raise ValueError("degree must be a positive integer")
         gens = []
         for i, images in enumerate(data.get("generators", [])):

@@ -30,6 +30,8 @@ BUDGET_ENV_VAR = "NILBOUND_BUDGET"
 # exhaustive mode is limited to these degrees; the next tower (degree 16,
 # order 2^15) is far past desk scale for full subgroup enumeration
 EXHAUSTIVE_DEGREE_GUARD = 9
+# a row holds one exponent per class bound; 1000 of them take ~0.2 s
+CLASS_BOUND_LIMIT = 1000
 
 
 def default_budget() -> int:
@@ -200,14 +202,12 @@ def enumerate_subgroups(
     S: PermGroup,
     dedupe: str = "set",
     max_count: int | None = None,
-    max_order: int | None = None,
 ) -> Iterator[PermGroup]:
     """Stream every subgroup of the p-group S exactly once (set mode) or one
     representative per S-conjugacy class (conjugacy mode)."""
     order = S.order()
     p, _ = bounds.prime_power(order) if order > 1 else (2, 0)
-    if max_order is None:
-        max_order = 128 if p == 2 else 81 if p == 3 else p
+    max_order = 128 if p == 2 else 81 if p == 3 else p
     if order > max_order:
         raise GuardExceeded(
             f"group order {order} exceeds subgroup enumeration guard {max_order}"
@@ -245,18 +245,19 @@ def fnil_exact(
     c_max: int,
     dedupe: str = "conjugacy",
     max_count: int | None = None,
-    max_degree: int = EXHAUSTIVE_DEGREE_GUARD,
 ) -> SearchRow:
     """Exhaustively maximize order over transitive subgroups of the wreath
     tower on p^k points, stratified by nilpotency class."""
-    degree = p**k
-    if degree > max_degree:
+    # p >= 2, so a degree within the guard has k below it
+    if p ** min(k, EXHAUSTIVE_DEGREE_GUARD) > EXHAUSTIVE_DEGREE_GUARD:
         raise GuardExceeded(
-            f"degree {degree} exceeds exhaustive search guard {max_degree}; "
+            f"degree {p}^{k} exceeds exhaustive search guard {EXHAUSTIVE_DEGREE_GUARD}; "
             "use the constructions for lower bounds instead"
         )
-    if c_max < 1:
-        raise ValueError("c_max must be positive")
+    if k < 1 or c_max < 1:
+        raise ValueError("k and c_max must be positive")
+    if c_max > CLASS_BOUND_LIMIT:
+        raise GuardExceeded(f"search --cmax {c_max} is over the limit {CLASS_BOUND_LIMIT}")
     if max_count is None:
         max_count = default_budget()
     tower = iterated_wreath_sylow(p, k)

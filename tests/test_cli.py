@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilbound.cli import (
     EXIT_GUARD,
@@ -12,6 +15,54 @@ from nilbound.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+)
+from nilbound.constructions import _KINDS
+
+_INTS = st.integers(0, 5) | st.integers(-1, 9) | st.integers()
+_PRIMES = st.sampled_from([2, 3, 5]) | _INTS
+_SCALARS = _INTS | st.booleans() | st.floats() | st.none() | st.text(max_size=3)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _leaf(kind: str):
+    names = _KINDS[kind].params
+    params = st.fixed_dictionaries(
+        {name: _PRIMES if name == "p" else _INTS for name in names}
+    ) | st.dictionaries(
+        st.sampled_from(names), _VALUES, max_size=len(names)
+    )
+    return st.fixed_dictionaries({"kind": st.just(kind), "params": params})
+
+
+_BLUEPRINTS = st.recursive(
+    st.one_of(
+        *(_leaf(kind) for kind in _KINDS),
+        st.fixed_dictionaries({"kind": _VALUES, "params": _VALUES}),
+    ),
+    lambda inner: st.fixed_dictionaries(
+        {"kind": st.just("product"), "params": st.fixed_dictionaries(
+            {"factors": st.lists(inner, min_size=2, max_size=2) | st.lists(inner, max_size=3)}
+        )}
+    ),
+    max_leaves=4,
+)
+_NUMBERS = _INTS.map(str)
+_ARGVS = st.one_of(
+    _BLUEPRINTS.map(lambda bp: ["construct", "--blueprint", json.dumps(bp)]),
+    st.builds(
+        lambda degree, gens: ["analyze", "--group", json.dumps({"degree": degree, "generators": gens})],
+        _INTS | _VALUES,
+        st.lists(st.lists(_INTS, max_size=6), max_size=3) | _VALUES,
+    ),
+    st.builds(lambda p, k, c: ["bound", "--p", p, "--k", k, "--c", c], _PRIMES.map(str), _NUMBERS, _NUMBERS),
+    st.builds(lambda p, k, c: ["search", "--p", p, "--k", k, "--cmax", c], _PRIMES.map(str), _NUMBERS, _NUMBERS),
+    _NUMBERS.map(lambda kmax: ["table", "--table1", "--kmax", kmax]),
+    st.lists(st.sampled_from(["bound", "search", "table", "--p", "--k", "--c", "--json", "--table1",
+                              "--kmax", "--cmax", "--dedupe", "set", "2", "3", "-1", "x"]), max_size=6),
 )
 
 
@@ -61,6 +112,8 @@ class TestBound:
         [
             (3, 3000, "f_upper scores reach c*log10(k+1) = 1807 digits, over the limit 1000"),
             (2, 20000, "f_upper scores reach c*log10(k+1) = 9543 digits, over the limit 1000"),
+            pytest.param(1, 10**400, f"f_upper needs k*k*c = {10**400} DP cells, over the limit 4000000",
+                         id="c-past-float-range"),
             (3000, 3, "f_upper needs k*k*c = 27000000 DP cells, over the limit 4000000"),
         ],
     )
@@ -114,6 +167,32 @@ class TestConstruct:
         assert data["realized"] is False
         assert data["group"] is None
         assert data["prediction"]["degree"] == 128
+        assert data["reason"] == "degree 128 exceeds realization guard 64"
+
+    def test_product_guard_comes_before_its_factors(self, capsys):
+        # each factor is the degree-32 tower, which alone is realized
+        tower = {"kind": "sylow-wreath", "params": {"p": 2, "k": 5}}
+        blueprint = json.dumps({"kind": "product", "params": {"factors": [tower, tower]}})
+        code, out, _ = run(capsys, "construct", "--blueprint", blueprint)
+        data = json.loads(out)
+        assert (code, data["realized"]) == (EXIT_OK, False)
+        assert data["reason"] == "degree 1024 exceeds realization guard 256"
+
+    @pytest.mark.parametrize(
+        "blueprint,message",
+        [
+            ('{"kind":"sylow-wreath","params":{"p":2,"k":14}}',
+             "predicted order 2^16383 is over the limit 2^3321 (1000 digits)"),
+            ('{"kind":"affine-unitriangular","params":{"p":2,"k":100000,"m":3}}',
+             "predicted degree 2^100000 is over the limit 2^3321 (1000 digits)"),
+            ('{"kind":"sylow-wreath","params":{"p":1099511627791,"k":1}}',
+             "p = 1099511627791 is over the primality check limit 1099511627776"),
+        ],
+        ids=["sylow-wreath-order", "affine-degree", "p-past-prime-limit"],
+    )
+    def test_oversize_prediction_is_refused(self, capsys, blueprint, message):
+        code, out, err = run(capsys, "construct", "--blueprint", blueprint)
+        assert (code, out, err) == (EXIT_GUARD, "", f"refused: {message}\n")
 
     def test_invalid_blueprint(self, capsys):
         code, _, err = run(capsys, "construct", "--blueprint", '{"kind":"nope","params":{}}')
@@ -125,8 +204,9 @@ class TestConstruct:
         [
             '{"kind":"sylow-wreath","params":{"p":1,"k":3}}',
             '{"kind":"wreath-polynomial","params":{"p":2,"u":1,"v":1,"c":0}}',
+            '{"kind":"wreath-polynomial","params":{"p":2,"u":-1,"v":2,"c":2}}',
         ],
-        ids=["sylow-wreath-p1", "wreath-polynomial-c0"],
+        ids=["sylow-wreath-p1", "wreath-polynomial-c0", "wreath-polynomial-u-negative"],
     )
     def test_out_of_range_params_are_invalid_blueprints(self, capsys, blueprint):
         code, _, err = run(capsys, "construct", "--blueprint", blueprint)
@@ -207,6 +287,18 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "generators[1]" in err
 
+    def test_rejects_bool_degree(self, capsys):
+        code, out, err = run(capsys, "analyze", "--group", '{"degree":true,"generators":[]}')
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: invalid group: degree must be a positive integer\n"
+
+    @pytest.mark.parametrize("degree,code", [(256, EXIT_OK), (257, EXIT_GUARD), (10**9, EXIT_GUARD)])
+    def test_degree_limit(self, capsys, degree, code):
+        got, _, err = run(capsys, "analyze", "--group", json.dumps({"degree": degree}))
+        assert got == code
+        if code == EXIT_GUARD:
+            assert err == f"refused: analyze of degree {degree} is over the limit 256\n"
+
 
 class TestSearch:
     def test_degree_four_row(self, capsys):
@@ -219,6 +311,19 @@ class TestSearch:
         assert code == EXIT_GUARD
         assert "guard" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--k", str(10**12)), f"degree 2^{10**12} exceeds exhaustive search guard 9"),
+            (("--k", "2", "--cmax", "1001"), "search --cmax 1001 is over the limit 1000"),
+        ],
+        ids=["k-huge", "cmax-past-limit"],
+    )
+    def test_oversize_arguments_are_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "search", "--p", "2", *argv)
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err.startswith(f"refused: {message}")
+
     def test_budget_refusal_exit_code(self, capsys):
         code, _, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "5")
         assert code == EXIT_GUARD
@@ -226,8 +331,8 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "argv",
-        [("--k", "0", "--audit"), ("--k", "2", "--cmax", "0")],
-        ids=["k0-audit", "cmax0"],
+        [("--k", "0", "--audit"), ("--k", "2", "--cmax", "0"), ("--k", "-1")],
+        ids=["k0-audit", "cmax0", "k-negative"],
     )
     def test_out_of_range_arguments_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, "search", "--p", "2", *argv)
@@ -257,6 +362,13 @@ class TestTable:
         row6 = next(line for line in out.splitlines() if line.strip().startswith("6 |"))
         assert "188" in row6
         assert "MISMATCH" not in out
+
+    def test_table1_work_guard(self, capsys):
+        assert run(capsys, "table", "--table1", "--kmax", "105")[0] == EXIT_OK
+        code, out, err = run(capsys, "table", "--table1", "--kmax", "106")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err == ("refused: table --table1 --kmax 106 needs sum of k*k*c = 4026410 "
+                       "DP cells, over the limit 4000000\n")
 
     def test_table2_marks_sources(self, capsys):
         code, out, _ = run(capsys, "table", "--table2")
@@ -304,3 +416,37 @@ class TestContracts:
         )
         assert result.returncode == 0
         assert "3" in result.stdout
+
+
+class TestRobustness:
+    """Every invocation ends in one line and exit 0, 1 or 2, in bounded time."""
+
+    @pytest.mark.parametrize(
+        "verb,flag,text",
+        [
+            ("analyze", "--group", '{"degree":2,"generators":' + "[" * 5000 + "]" * 5000 + "}"),
+            ("construct", "--blueprint", '{"kind":"sylow-wreath","params":' * 1000 + "{}" + "}" * 1000),
+            (
+                "construct",
+                "--blueprint",
+                '{"kind":"product","params":{"factors":[' * 400
+                + '{"kind":"sylow-wreath","params":{"p":2,"k":1}}'
+                + ',{"kind":"affine-unitriangular","params":{"p":2,"k":0,"m":0}}]}}' * 400,
+            ),
+        ],
+        ids=["group-lists", "blueprint-params", "blueprint-products"],
+    )
+    def test_deep_nesting_is_a_usage_error(self, capsys, verb, flag, text):
+        code, out, err = run(capsys, verb, flag, text)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=timedelta(seconds=20),
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(argv=_ARGVS)
+    def test_fuzzed_invocations_end_cleanly(self, capsys, argv):
+        # capsys is safe to share across examples: run() drains it each time
+        code, _, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_GUARD), (argv, err)
+        assert "Traceback" not in err
+        assert err.count("\n") <= 1 or err.startswith("usage:"), err

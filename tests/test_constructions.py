@@ -1,9 +1,15 @@
 """Construction families: degrees, orders, classes, centers, blueprints."""
 
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 
-from nilbound.bounds import binomial_lower, class2_exponent, f_upper
+from nilbound.bounds import binomial_lower, class2_exponent, f_upper, monomial_count
 from nilbound.constructions import (
+    _KINDS,
+    DEGREE_GUARD,
     GroupBlueprint,
     abelian_class2_group,
     affine_unitriangular,
@@ -227,6 +233,12 @@ class TestWreathPolynomial:
         with pytest.raises(GuardExceeded):
             wreath_polynomial_group(2, 3, 4, 2)
 
+    def test_exponent_matches_monomial_sum(self):
+        # oracle: the summed monomial counts for every degree below c
+        for p, u, v, c in itertools.product((2, 3, 5), (0, 1, 2), range(5), range(1, 14)):
+            summed = v + u * sum(monomial_count(v, i, p) for i in range(c))
+            assert wreath_polynomial_exponent(p, u, v, c) == summed, (p, u, v, c)
+
 
 class TestDihedralTimesAbelian:
     @pytest.mark.parametrize("k,c", [(3, 2), (4, 2), (4, 3), (5, 4), (5, 2)])
@@ -254,16 +266,75 @@ class TestBlueprints:
         ("sylow-wreath", {"p": 2, "k": 3}),
         ("wreath-polynomial", {"p": 2, "u": 2, "v": 2, "c": 2}),
         ("dihedral-abelian", {"k": 4, "c": 3}),
+        ("wreath-polynomial", {"p": 3, "u": 0, "v": 2, "c": 9}),
+        ("affine-unitriangular", {"p": 3, "k": 0, "m": 0}),
+        (
+            "product",
+            {"factors": [
+                {"kind": "affine-unitriangular", "params": {"p": 2, "k": 2, "m": 1}},
+                {"kind": "dihedral-abelian", "params": {"k": 3, "c": 2}},
+            ]},
+        ),
     ]
+
+    def test_cases_cover_every_kind(self):
+        assert {kind for kind, _ in self.CASES} == {*_KINDS, "product"}
 
     @pytest.mark.parametrize("kind,params", CASES)
     def test_prediction_matches_realization(self, kind, params):
         bp = make_blueprint(kind, params)
+        assert blueprint_from_json(bp.to_json()) == bp
         G = realize(bp)
         assert G.degree == bp.degree
         assert G.order() == bp.order
         assert G.is_transitive()
         assert nilpotency_class(G) <= bp.class_bound
+        if bp.log_p_order is not None:
+            assert G.order() == bp.p_power[0] ** bp.log_p_order
+            assert G.degree % bp.p_power[0] == 0
+
+    @pytest.mark.parametrize(
+        "kind,params,degree,limit",
+        [
+            ("product", {"factors": [{"kind": "sylow-wreath", "params": {"p": 2, "k": 5}}] * 2}, 1024, 256),
+            ("affine-unitriangular", {"p": 2, "k": 10, "m": 5}, 1024, 256),
+            ("abelian-class2", {"p": 2, "k": 10, "m": 5, "a": 2}, 1024, 256),
+            ("dihedral-abelian", {"k": 9, "c": 3}, 512, 256),
+            ("sylow-wreath", {"p": 2, "k": 6}, 64, 32),
+            ("wreath-polynomial", {"p": 2, "u": 3, "v": 4, "c": 2}, 128, 64),
+        ],
+    )
+    def test_realization_guard_comes_before_building(self, kind, params, degree, limit):
+        with pytest.raises(GuardExceeded) as info:
+            realize(make_blueprint(kind, params))
+        assert str(info.value) == f"degree {degree} exceeds realization guard {limit}"
+
+    def test_nested_product_is_refused_on_its_own_degree(self):
+        cyclic = {"kind": "sylow-wreath", "params": {"p": 2, "k": 1}}
+        bp = cyclic
+        for _ in range(12):
+            bp = {"kind": "product", "params": {"factors": [bp, cyclic]}}
+        with pytest.raises(GuardExceeded, match="^degree 8192 exceeds realization guard 256$"):
+            realize(blueprint_from_json(bp))
+
+    @pytest.mark.parametrize(
+        "kind,params,message",
+        [
+            ("sylow-wreath", {"p": 2, "k": 14}, "predicted order 2^16383 is over the limit 2^3321"),
+            ("sylow-wreath", {"p": 2, "k": 10**6}, "predicted degree 2^1000000 is over the limit 2^3321"),
+            ("affine-unitriangular", {"p": 2, "k": 100000, "m": 3}, "predicted degree 2^100000"),
+            ("wreath-polynomial", {"p": 3, "u": 1, "v": 2000, "c": 3},
+             "predicted order 3^2005001 is over the limit 3^2095"),
+        ],
+    )
+    def test_prediction_past_digit_limit_is_refused(self, kind, params, message):
+        with pytest.raises(GuardExceeded, match=re.escape(message)):
+            make_blueprint(kind, params)
+
+    def test_large_class_bound_predicts_quickly(self):
+        # every reduced monomial has degree <= v(p-1) = 2, so c past 3 adds none
+        bp = make_blueprint("wreath-polynomial", {"p": 2, "u": 1, "v": 2, "c": 10**6})
+        assert bp.log_p_order == 2 + 4 and bp.class_bound == 10**6
 
     def test_product_blueprint(self):
         bp = make_blueprint(
@@ -290,9 +361,20 @@ class TestBlueprints:
         bp = make_blueprint("sylow-wreath", {"p": 2, "k": 3})
         assert bp.log_p_order == 7
         assert bp.prediction_json()["class_bound"] == 4
+        assert make_blueprint("sylow-wreath", {"p": 2, "k": 11}).log_p_order == 2047
+
+    def test_readme_lists_every_kind(self):
+        # README rows: | `kind` | `p, k, m` | ranges | limit |
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {m[0]: m[1:] for m in re.findall(r"^\| `([a-z0-9-]+)` \| `([^`]*)` \| .* \| (\d+) \|$",
+                                                readme, re.M)}
+        assert set(rows) == {*_KINDS, "product"}
+        for kind, entry in _KINDS.items():
+            assert rows[kind] == (", ".join(entry.params), str(entry.degree_limit))
+        assert rows["product"] == ("factors", str(DEGREE_GUARD))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(", ".join([*_KINDS, "product"]))):
             make_blueprint("mystery", {})
 
 
