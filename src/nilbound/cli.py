@@ -137,7 +137,7 @@ def _load_group(value: str) -> PermGroup:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     group = _load_group(args.group)
-    # the degrees construct realizes: a 512-cycle takes ~10x as long as a 256-cycle
+    # the degrees construct realizes; an n-cycle takes ~4x as long per doubling of n
     if group.degree > DEGREE_GUARD:
         raise GuardExceeded(f"analyze of degree {group.degree} is over the limit {DEGREE_GUARD}")
     series = lower_central_series(group)

@@ -1,11 +1,21 @@
 """Explicit transitive p-group constructions realized as permutation groups.
 
-Point encodings are fixed so that generator JSON is reproducible
-bit-for-bit:
+Every builder lists its points and gives each generator as a map on them;
+a point's index is its position in the builder's point list, so these
+orders fix the generator JSON bit-for-bit:
 
-* vectors over F_p use little-endian digits, point = sum v_i * p^i;
-* pairs are row-major, point = first * (size of second factor) + second;
-* mixed-radix tuples put the first coordinate most significant.
+* affine_unitriangular: the vectors of F_p^k, little-endian, so
+  index = sum v_i * p^i;
+* abelian_class2_group: the mixed-radix tuples of C_{p^2}^a x C_p^(k-2a),
+  first coordinate most significant;
+* iterated_wreath_sylow: the integers 0 .. p^k - 1;
+* wreath_polynomial_group: the pairs (x, y) of little-endian vectors of
+  F_p^u x F_p^v, row-major, so index = index(x) * p^v + index(y);
+* dihedral_times_abelian: the triples (rotation, reflection, bits) in
+  C_{2^c} x C_2 x F_2^(k-c-1) (bits as an integer mask), first coordinate
+  most significant;
+* product_action: the pairs (i, j) of points of G and H, row-major, so
+  index = i * deg(H) + j.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .bounds import SCORE_DIGIT_LIMIT, prime_power
 from .perm import GuardExceeded, PermGroup, Permutation
@@ -34,15 +44,21 @@ def _guard_degree(degree: int, limit: int) -> None:
         raise GuardExceeded(f"degree {degree} exceeds realization guard {limit}")
 
 
-def _vector_index(v: tuple[int, ...], p: int) -> int:
-    index = 0
-    for digit in reversed(v):
-        index = index * p + digit
-    return index
+def _action(points: Sequence, maps: Iterable[Callable]) -> PermGroup:
+    """The group generated by maps, each a function on points, acting on the
+    indices of points: a point's index is its position in points."""
+    index = {x: i for i, x in enumerate(points)}
+    return PermGroup(len(index), [Permutation([index[f(x)] for x in points]) for f in maps])
+
+
+def _bump(v: tuple[int, ...], i: int, d: int, radix: int) -> tuple[int, ...]:
+    """v with coordinate i increased by d modulo radix."""
+    return v[:i] + ((v[i] + d) % radix,) + v[i + 1:]
 
 
 def _vectors(p: int, length: int):
-    """All vectors of F_p^length, in index order."""
+    """All vectors of F_p^length, little-endian (the first coordinate least
+    significant)."""
     return [v[::-1] for v in itertools.product(range(p), repeat=length)]
 
 
@@ -56,27 +72,10 @@ def affine_unitriangular(p: int, k: int, m: int) -> PermGroup:
     """
     if not 0 <= m <= k:
         raise ValueError(f"m={m} out of range 0..{k}")
-    points = _vectors(p, k)
-    degree = p**k
-    gens: list[Permutation] = []
-    # translations v -> v + e_i
-    for i in range(k):
-        images = [0] * degree
-        for idx, v in enumerate(points):
-            w = list(v)
-            w[i] = (w[i] + 1) % p
-            images[idx] = _vector_index(tuple(w), p)
-        gens.append(Permutation(images))
-    # unitriangular maps v -> v + v[m+i] * e_j for coordinates j < m <= m+i
-    for i in range(k - m):
-        for j in range(m):
-            images = [0] * degree
-            for idx, v in enumerate(points):
-                w = list(v)
-                w[j] = (w[j] + v[m + i]) % p
-                images[idx] = _vector_index(tuple(w), p)
-            gens.append(Permutation(images))
-    return PermGroup(degree, gens)
+    # translations v -> v + e_i, then v -> v + v[m+i] * e_j for j < m <= m+i
+    translations = [lambda v, i=i: _bump(v, i, 1, p) for i in range(k)]
+    shears = [lambda v, i=i, j=j: _bump(v, j, v[m + i], p) for i in range(k - m) for j in range(m)]
+    return _action(_vectors(p, k), translations + shears)
 
 
 def abelian_class2_group(p: int, k: int, m: int, a: int) -> PermGroup:
@@ -94,75 +93,27 @@ def abelian_class2_group(p: int, k: int, m: int, a: int) -> PermGroup:
     if not 0 <= a <= min(m, k - m):
         raise ValueError(f"a={a} out of range 0..min({m}, {k - m})")
     radices = [p * p] * a + [p] * (k - 2 * a)
-    degree = p**k
-
-    def index_of(v: tuple[int, ...]) -> int:
-        index = 0
-        for digit, radix in zip(v, radices):
-            index = index * radix + digit
-        return index
-
-    points = list(itertools.product(*map(range, radices)))  # in index order
-
-    def add(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % r for x, y, r in zip(v, w, radices))
-
-    def unit(position: int, value: int = 1) -> tuple[int, ...]:
-        v = [0] * len(radices)
-        v[position] = value
-        return tuple(v)
-
-    n_coords = len(radices)
-    # generators of Z: p-th powers of the C_{p^2} coordinates, then the
-    # first m-a of the C_p coordinates
-    z_gens = [unit(i, p) for i in range(a)]
-    z_gens += [unit(a + j) for j in range(m - a)]
+    # generators of Z as (coordinate, value): p-th powers of the C_{p^2}
+    # coordinates, then the first m-a of the C_p coordinates
+    z_gens = [(i, p) for i in range(a)] + [(a + j, 1) for j in range(m - a)]
     # generators of V modulo Z: the C_{p^2} coordinates and the remaining
     # C_p coordinates
-    v_positions = list(range(a)) + list(range(a + (m - a), n_coords))
-
-    gens: list[Permutation] = []
+    v_positions = list(range(a)) + list(range(m, len(radices)))
     # V acting on itself by right multiplication, one translation per
-    # generator of V (the v's and the Z' part)
-    for pos in list(range(a)) + list(range(a, n_coords)):
-        step = unit(pos)
-        images = [index_of(add(v, step)) for v in points]
-        gens.append(Permutation(images))
-    # automorphisms: v_i -> v_i * z for one modulo-Z generator and one
-    # generator z of Z, everything else fixed
-    for i, pos in enumerate(v_positions):
-        for z in z_gens:
-            images = [0] * degree
-            for idx, v in enumerate(points):
-                # v_i occurs with multiplicity v[pos], so the automorphism
-                # multiplies by z^(v[pos])
-                shift = tuple((c * v[pos]) % r for c, r in zip(z, radices))
-                images[idx] = index_of(add(v, shift))
-            gens.append(Permutation(images))
-    return PermGroup(degree, gens)
+    # coordinate; then the automorphisms v_i -> v_i * z for one modulo-Z
+    # generator and one generator z of Z, everything else fixed: v_i occurs
+    # with multiplicity v[pos], so the automorphism multiplies by z^(v[pos])
+    translations = [lambda v, i=i: _bump(v, i, 1, radices[i]) for i in range(len(radices))]
+    automorphisms = [lambda v, pos=pos, i=i, z=z: _bump(v, i, z * v[pos], radices[i])
+                     for pos in v_positions for i, z in z_gens]
+    return _action(list(itertools.product(*map(range, radices))), translations + automorphisms)
 
 
 def product_action(G: PermGroup, H: PermGroup) -> PermGroup:
-    """Coordinate-wise action of G x H on pairs, point = i * deg(H) + j."""
-    dg, dh = G.degree, H.degree
-    degree = dg * dh
-    gens: list[Permutation] = []
-    for g in G.generators:
-        images = [0] * degree
-        for i in range(dg):
-            gi = g.images[i] * dh
-            base = i * dh
-            for j in range(dh):
-                images[base + j] = gi + j
-        gens.append(Permutation(images))
-    for h in H.generators:
-        images = [0] * degree
-        for i in range(dg):
-            base = i * dh
-            for j in range(dh):
-                images[base + j] = base + h.images[j]
-        gens.append(Permutation(images))
-    return PermGroup(degree, gens)
+    """Coordinate-wise action of G x H on the pairs (i, j), row-major."""
+    return _action(list(itertools.product(range(G.degree), range(H.degree))),
+                   [lambda x, g=g: (g(x[0]), x[1]) for g in G.generators]
+                   + [lambda x, h=h: (x[0], h(x[1])) for h in H.generators])
 
 
 def iterated_wreath_sylow(p: int, k: int) -> PermGroup:
@@ -175,15 +126,8 @@ def iterated_wreath_sylow(p: int, k: int) -> PermGroup:
     """
     degree = p**k
     _guard_degree(degree, SYLOW_DEGREE_GUARD)
-    gens: list[Permutation] = []
-    for j in range(1, k + 1):
-        block = p**j
-        step = p ** (j - 1)
-        images = list(range(degree))
-        for x in range(block):
-            images[x] = (x + step) % block
-        gens.append(Permutation(images))
-    return PermGroup(degree, gens)
+    return _action(range(degree), [lambda x, b=p**j: (x + b // p) % b if x < b else x
+                                   for j in range(1, k + 1)])
 
 
 def sylow_exponent(p: int, k: int) -> int:
@@ -223,48 +167,16 @@ def wreath_polynomial_group(p: int, u: int, v: int, c: int) -> PermGroup:
     adding that monomial of y to one coordinate of x.  Order
     p^(v + u*M) with M the reduced-monomial count; class at most c.
     """
-    degree = p ** (u + v)
-    _guard_degree(degree, WREATH_POLY_DEGREE_GUARD)
-    us = _vectors(p, u)
+    _guard_degree(p ** (u + v), WREATH_POLY_DEGREE_GUARD)
     vs = _vectors(p, v)
-    nv = len(vs)
-
-    def pair_index(xi: int, yi: int) -> int:
-        return xi * nv + yi
-
-    gens: list[Permutation] = []
-    # translations of the V coordinate
-    for r in range(v):
-        y_image = [0] * nv
-        for yi, y in enumerate(vs):
-            w = list(y)
-            w[r] = (w[r] + 1) % p
-            y_image[yi] = _vector_index(tuple(w), p)
-        images = [0] * degree
-        for xi in range(len(us)):
-            for yi in range(nv):
-                images[pair_index(xi, yi)] = pair_index(xi, y_image[yi])
-        gens.append(Permutation(images))
-    # monomial generators on the U coordinate
-    monomials = _reduced_monomials(v, p, c - 1)
-    for s in range(u):
-        for mono in monomials:
-            values = [0] * nv
-            for yi, y in enumerate(vs):
-                value = 1
-                for coord, e in zip(y, mono):
-                    value = (value * pow(coord, e, p)) % p
-                values[yi] = value
-            images = [0] * degree
-            for xi, x in enumerate(us):
-                for yi in range(nv):
-                    w = list(x)
-                    w[s] = (w[s] + values[yi]) % p
-                    images[pair_index(xi, yi)] = pair_index(
-                        _vector_index(tuple(w), p), yi
-                    )
-            gens.append(Permutation(images))
-    return PermGroup(degree, gens)
+    # translations of the V coordinate, then the monomial generators on the
+    # U coordinate, each monomial evaluated once per y
+    values = [{y: math.prod(pow(t, e, p) for t, e in zip(y, mono)) % p for y in vs}
+              for mono in _reduced_monomials(v, p, c - 1)]
+    maps = [lambda xy, r=r: (xy[0], _bump(xy[1], r, 1, p)) for r in range(v)]
+    maps += [lambda xy, s=s, value=value: (_bump(xy[0], s, value[xy[1]], p), xy[1])
+             for s in range(u) for value in values]
+    return _action(list(itertools.product(_vectors(p, u), vs)), maps)
 
 
 def dihedral_times_abelian(k: int, c: int) -> PermGroup:
@@ -278,32 +190,15 @@ def dihedral_times_abelian(k: int, c: int) -> PermGroup:
     if not 1 <= c <= k - 1:
         raise ValueError(f"need 1 <= c <= k-1, got c={c}, k={k}")
     half = 2**c  # rotation subgroup size
-    abelian_rank = k - c - 1
-    n_abelian = 2**abelian_rank
-    degree = 2**k
+    n_bits = k - c - 1
 
-    def dihedral_mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-        i1, j1 = e1
-        i2, j2 = e2
-        sign = -1 if j1 else 1
-        return ((i1 + sign * i2) % half, j1 ^ j2)
+    def right_mul(i2: int, j2: int, mask: int):
+        # (i, j) * (i2, j2) = (i + (-1)^j i2, j + j2) in the dihedral factor
+        return lambda x: ((x[0] + (-i2 if x[1] else i2)) % half, x[1] ^ j2, x[2] ^ mask)
 
-    def point(d: tuple[int, int], q: int) -> int:
-        return (d[0] * 2 + d[1]) * n_abelian + q
-
-    elements = [(i, j) for i in range(half) for j in range(2)]
-
-    def right_mul_perm(d_factor: tuple[int, int], q_mask: int) -> Permutation:
-        images = [0] * degree
-        for d in elements:
-            for q in range(n_abelian):
-                images[point(d, q)] = point(dihedral_mul(d, d_factor), q ^ q_mask)
-        return Permutation(images)
-
-    gens = [right_mul_perm((1, 0), 0), right_mul_perm((0, 1), 0)]
-    for bit in range(abelian_rank):
-        gens.append(right_mul_perm((0, 0), 1 << bit))
-    return PermGroup(degree, gens)
+    points = list(itertools.product(range(half), range(2), range(2**n_bits)))
+    return _action(points, [right_mul(1, 0, 0), right_mul(0, 1, 0)]
+                   + [right_mul(0, 0, 1 << bit) for bit in range(n_bits)])
 
 
 @dataclass(frozen=True)
@@ -396,10 +291,13 @@ def require_prime(p: int) -> None:
 
 
 def _guard_digits(quantity: str, p: int, e: int) -> None:
-    """Refuse a predicted p^e of over SCORE_DIGIT_LIMIT digits, judged from e."""
+    """Refuse a predicted p^e of over SCORE_DIGIT_LIMIT digits, judged from e;
+    an exponent of over 20 digits is named by its digit count."""
     limit = int(SCORE_DIGIT_LIMIT / math.log10(p))
     if e > limit:
-        raise GuardExceeded(f"predicted {quantity} {p}^{e} is over the limit "
+        digits = str(e)
+        exponent = digits if len(digits) <= 20 else f"({len(digits)}-digit exponent)"
+        raise GuardExceeded(f"predicted {quantity} {p}^{exponent} is over the limit "
                             f"{p}^{limit} ({SCORE_DIGIT_LIMIT} digits)")
 
 

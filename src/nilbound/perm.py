@@ -491,6 +491,8 @@ def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
     """The subgroup of elements commuting with every generator.
 
     Uses a full element scan, so the group order must stay within limit.
+    The central elements are their own conjugates, so their normal closure
+    keeps only those that enlarge the group: at most log_2 |Z| generators.
     """
     if G.order() > limit:
         raise GuardExceeded("too large for center scan")
@@ -499,4 +501,4 @@ def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
         for z in G.elements(limit)
         if not z.is_identity() and all(z * g == g * z for g in G.generators)
     ]
-    return PermGroup(G.degree, central)
+    return G.normal_closure(central)

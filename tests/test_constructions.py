@@ -1,5 +1,6 @@
 """Construction families: degrees, orders, classes, centers, blueprints."""
 
+import hashlib
 import itertools
 import re
 from pathlib import Path
@@ -325,6 +326,8 @@ class TestBlueprints:
             ("affine-unitriangular", {"p": 2, "k": 100000, "m": 3}, "predicted degree 2^100000"),
             ("wreath-polynomial", {"p": 3, "u": 1, "v": 2000, "c": 3},
              "predicted order 3^2005001 is over the limit 3^2095"),
+            ("sylow-wreath", {"p": 2, "k": 3000},
+             "predicted order 2^(904-digit exponent) is over the limit 2^3321 (1000 digits)"),
         ],
     )
     def test_prediction_past_digit_limit_is_refused(self, kind, params, message):
@@ -449,3 +452,38 @@ def test_wreath_tower_realizes_reference_plateau():
     assert series.nilpotency_class == 8
     assert W.order() == 2**15
     assert TABLE2_REFERENCE[4][7] == 15
+
+
+def _pinned_groups():
+    """Every builder over small params, edge cases and products, labelled."""
+    for p, k in [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
+        for m in range(k + 1):
+            yield f"affine{p, k, m}", affine_unitriangular(p, k, m)
+            for a in range(min(m, k - m) + 1):
+                yield f"class2{p, k, m, a}", abelian_class2_group(p, k, m, a)
+    for p, k in [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
+        yield f"sylow{p, k}", iterated_wreath_sylow(p, k)
+    for p, u, v in [(2, 0, 0), (2, 0, 2), (2, 2, 0), (2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 1, 4),
+                    (2, 3, 3), (3, 1, 1), (3, 1, 2), (3, 0, 2), (5, 1, 1), (5, 0, 2)]:
+        for c in range(1, 5):
+            yield f"wreath{p, u, v, c}", wreath_polynomial_group(p, u, v, c)
+    for k in range(2, 6):
+        for c in range(1, k):
+            yield f"dihedral{k, c}", dihedral_times_abelian(k, c)
+    factors = [PermGroup(1), iterated_wreath_sylow(3, 1), iterated_wreath_sylow(5, 1),
+               affine_unitriangular(2, 2, 1), abelian_class2_group(3, 2, 1, 1),
+               wreath_polynomial_group(2, 1, 2, 2), dihedral_times_abelian(3, 2)]
+    for (i, G), (j, H) in itertools.product(enumerate(factors), repeat=2):
+        yield f"product{i, j}", product_action(G, H)
+
+
+def test_generator_json_is_pinned():
+    # the point encodings fix every generator list; a rewrite of a builder
+    # must give these exact bytes
+    digest = hashlib.sha256()
+    count = 0
+    for label, G in _pinned_groups():
+        digest.update(f"{label} {G.dumps()}\n".encode())
+        count += 1
+    assert count == 193
+    assert digest.hexdigest() == "5801704d85ef949b3e02a76310797cc456f20541074cd6d3e85b1a2ccc7ce5a0"

@@ -293,6 +293,8 @@ class TestCenter:
                 continue
             elements = [Permutation(i) for i in naive_closure(G.degree, G.generators)]
             Z = center(G)
+            # each kept generator at least doubles the group
+            assert 2 ** len(Z.generators) <= Z.order()
             central = {z.images for z in Z.elements()}
             for z_images in central:
                 z = Permutation(z_images)
