@@ -39,9 +39,12 @@ def default_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
+    if budget < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be non-negative, got {budget}")
+    return budget
 
 
 class _Tables:
@@ -191,7 +194,10 @@ def _iter_subgroup_sets(
                 next_level.append(K)
                 yielded += 1
                 if yielded > max_count:
-                    raise GuardExceeded("search budget exceeded")
+                    raise GuardExceeded(
+                        f"search budget exceeded: visited {yielded} subgroups, "
+                        f"over the budget {max_count}"
+                    )
         next_level.sort(key=sorted)
         for K in next_level:
             yield K

@@ -329,6 +329,18 @@ class TestSearch:
         assert code == EXIT_GUARD
         assert "budget" in err
 
+    def test_budget_refusal_names_count_and_limit(self, capsys):
+        code, out, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "10")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err == "refused: search budget exceeded: visited 11 subgroups, over the budget 10\n"
+
+    def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "-5")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --budget must be non-negative, got -5\n")
+        monkeypatch.setenv("NILBOUND_BUDGET", "-5")
+        code, out, err = run(capsys, "search", "--p", "2", "--k", "3")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: NILBOUND_BUDGET must be non-negative, got -5\n")
+
     @pytest.mark.parametrize(
         "argv",
         [("--k", "0", "--audit"), ("--k", "2", "--cmax", "0"), ("--k", "-1")],
@@ -377,6 +389,13 @@ class TestTable:
         assert "reference (not recomputed)" in out
         row3 = next(line for line in out.splitlines() if line.strip().startswith("3 |"))
         assert row3.split("|")[1].split() == "3 5 6 7 7 7 7 7 7 7 7 7 7 7 7 7".split()
+
+    def test_table2_refusal_leaves_stdout_empty(self, capsys, monkeypatch):
+        # the budget admits rows 1 and 2 but not row 3
+        monkeypatch.setenv("NILBOUND_BUDGET", "50")
+        code, out, err = run(capsys, "table", "--table2")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err.startswith("refused: search budget exceeded: visited 51 subgroups")
 
 
 class TestContracts:

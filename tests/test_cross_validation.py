@@ -14,11 +14,15 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
 from nilbound.constructions import (
+    _KINDS,
     affine_unitriangular,
+    blueprint_from_json,
     iterated_wreath_sylow,
+    realize,
     wreath_polynomial_group,
 )
-from nilbound.perm import center, lower_central_series
+from nilbound.perm import PermGroup, Permutation, center, lower_central_series
+from nilbound.search import enumerate_subgroups
 
 
 def to_sympy(group):
@@ -55,6 +59,60 @@ def test_centers_match():
         wreath_polynomial_group(2, 1, 3, 2),
     ):
         assert center(G).order() == to_sympy(G).center().order()
+
+
+def assert_center_matches_sympy(G, limit=1_000_000):
+    """Same order and ours inside sympy's, so the two centers are equal."""
+    ours = center(G, limit=limit)
+    theirs = to_sympy(G).center()
+    assert ours.order() == theirs.order()
+    assert all(theirs.contains(SymPerm(list(z.images))) for z in ours.generators)
+
+
+# one realized group per registry kind, each within center's element limit
+CENTER_BLUEPRINTS = {
+    "affine-unitriangular": {"p": 2, "k": 4, "m": 2},
+    "abelian-class2": {"p": 2, "k": 4, "m": 2, "a": 1},
+    "sylow-wreath": {"p": 3, "k": 2},
+    "wreath-polynomial": {"p": 2, "u": 2, "v": 2, "c": 2},
+    "dihedral-abelian": {"k": 5, "c": 3},
+}
+
+
+def test_centers_of_every_kind_match():
+    assert set(CENTER_BLUEPRINTS) == set(_KINDS)
+    for kind, params in CENTER_BLUEPRINTS.items():
+        G = realize(blueprint_from_json({"kind": kind, "params": params}))
+        assert G.is_transitive(), kind
+        assert_center_matches_sympy(G)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_centers_of_transitive_tower_subgroups_match(p, k):
+    transitive = [H for H in enumerate_subgroups(iterated_wreath_sylow(p, k)) if H.is_transitive()]
+    assert transitive
+    for H in transitive:
+        assert_center_matches_sympy(H)
+
+
+def test_center_of_intransitive_group_matches():
+    # a dihedral group on points 0..3 beside a 3-cycle on 4..6: the element scan
+    G = PermGroup(
+        7,
+        [
+            Permutation.from_cycles(7, (0, 1, 2, 3)),
+            Permutation.from_cycles(7, (0, 2)),
+            Permutation.from_cycles(7, (4, 5, 6)),
+        ],
+    )
+    assert not G.is_transitive()
+    assert_center_matches_sympy(G)
+
+
+def test_center_past_the_default_limit_matches():
+    G = wreath_polynomial_group(2, 3, 3, 3)
+    assert G.order() == 2**24
+    assert_center_matches_sympy(G, limit=2**30)
 
 
 def test_series_profiles_match():

@@ -1,6 +1,7 @@
 """Permutation and group engine tests against closure-based oracles."""
 
 import json
+import time
 
 import pytest
 
@@ -284,8 +285,24 @@ class TestCenter:
 
     def test_center_guard(self):
         big = iterated_wreath_sylow(2, 3)
-        with pytest.raises(GuardExceeded, match="too large for center scan"):
+        with pytest.raises(
+            GuardExceeded, match="too large for center scan: order 128 is over the limit 100$"
+        ):
             center(big, limit=100)
+
+    def test_transitive_center_needs_no_element_list(self):
+        # order 2^24: the one-point method never lists G
+        from nilbound.constructions import wreath_polynomial_group
+
+        G = wreath_polynomial_group(2, 3, 3, 3)
+        assert G.is_transitive() and G.order() == 2**24
+        start = time.perf_counter()
+        Z = center(G, limit=2**30)
+        assert time.perf_counter() - start < 5
+        assert Z.order() > 1
+        for z in Z.generators:
+            assert z in G
+            assert all(z * g == g * z for g in G.generators)
 
     def test_center_elements_commute_with_everything(self, corpus):
         for _, G in corpus:

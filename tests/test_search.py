@@ -196,6 +196,9 @@ class TestFnilExact:
         assert default_budget() == 123
         monkeypatch.delenv("NILBOUND_BUDGET")
         assert default_budget() > 123
+        monkeypatch.setenv("NILBOUND_BUDGET", "-5")
+        with pytest.raises(ValueError, match="NILBOUND_BUDGET must be non-negative, got -5"):
+            default_budget()
 
 
 class TestAuditRow:
