@@ -59,8 +59,6 @@ def _read_json_arg(value: str) -> dict:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     require_prime(args.p)
-    if args.k < 1 or args.c < 1:
-        raise _UsageError("k and c must be positive")
     report = bounds.bound_report(args.p, args.k, args.c)
     if args.json:
         _emit_json(report.to_json())
@@ -82,32 +80,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
         blueprint = blueprint_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"invalid blueprint: {exc}")
+    output = {"blueprint": blueprint.to_json(), "prediction": blueprint.prediction_json()}
     try:
         group = realize(blueprint)
     except GuardExceeded as exc:
         # degraded response: prediction only, no realization
-        _emit_json(
-            {
-                "blueprint": blueprint.to_json(),
-                "prediction": blueprint.prediction_json(),
-                "group": None,
-                "realized": False,
-                "reason": str(exc),
-            }
-        )
-        return EXIT_OK
-    problems = _verify_prediction(blueprint, group)
-    if problems:
-        print(f"invariant violation: {'; '.join(problems)}", file=sys.stderr)
-        return EXIT_INVARIANT
-    _emit_json(
-        {
-            "blueprint": blueprint.to_json(),
-            "prediction": blueprint.prediction_json(),
-            "group": group.to_json(),
-            "realized": True,
-        }
-    )
+        output.update(group=None, realized=False, reason=str(exc))
+    else:
+        problems = _verify_prediction(blueprint, group)
+        if problems:
+            print(f"invariant violation: {'; '.join(problems)}", file=sys.stderr)
+            return EXIT_INVARIANT
+        output.update(group=group.to_json(), realized=True)
+    _emit_json(output)
     return EXIT_OK
 
 
@@ -171,9 +156,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     require_prime(args.p)
     if args.budget is not None and args.budget < 0:
         raise _UsageError(f"--budget must be non-negative, got {args.budget}")
-    budget = args.budget if args.budget is not None else search.default_budget()
     row = search.fnil_exact(
-        args.p, args.k, args.cmax, dedupe=args.dedupe, max_count=budget
+        args.p, args.k, args.cmax, dedupe=args.dedupe, max_count=args.budget
     )
     report = search.audit_row(row) if args.audit else None
     if args.json:
@@ -197,6 +181,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.table1:
         kmax = args.kmax
+        if kmax < 1:
+            raise _UsageError(f"--kmax must be positive, got {kmax}")
         # the sum of k*k*c over k <= kmax, c <= 4
         cells = 10 * kmax * (kmax + 1) * (2 * kmax + 1) // 6
         if cells > bounds.DP_CELL_LIMIT:

@@ -177,29 +177,19 @@ def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
 
 
 def _build_chain(
-    degree: int,
-    generators: Iterable[Permutation],
-    base_prefix: Sequence[int] = (),
-    levels: list[_Level] | None = None,
+    levels: list[_Level], degree: int, generators: Iterable[Permutation]
 ) -> list[_Level]:
-    """Deterministic Schreier-Sims.
+    """Deterministic Schreier-Sims: extend levels, a verified chain that no
+    group holds yet ([] or base points with no generators), by generators.
 
-    Returns the stabilizer chain as a list of levels.  A strong generator is
-    stored at the first level whose base point it moves; the group at level i
-    is generated by everything stored at levels >= i.  Levels are verified
-    bottom-up: every Schreier generator of level i must sift to the identity
-    through the deeper levels, and any non-identity residue becomes a new
-    strong generator, after which verification restarts at the residue's
-    home level.
-
-    Given levels, a verified chain the caller owns and no group holds yet,
-    the chain is extended in place: the generators are placed, only the
-    transversals of levels 0..home are rebuilt, and verification resumes
-    at the highest level touched, since the deeper levels are unchanged.
+    A strong generator is stored at the first level whose base point it
+    moves; the group at level i is generated by everything stored at levels
+    >= i.  Levels are verified bottom-up from the highest one touched: every
+    Schreier generator of level i must sift to the identity through the
+    deeper levels, and the first non-identity residue becomes a new strong
+    generator, after which verification restarts at its home level.
     """
     identity = Permutation.identity(degree)
-    if levels is None:
-        levels = [_Level(b, identity) for b in base_prefix]
 
     def level_gens(i: int) -> list[Permutation]:
         return [g for level in levels[i:] for g in level.gens]
@@ -234,29 +224,20 @@ def _build_chain(
     i = max((place(g) for g in generators if not g.is_identity()), default=-1)
     rebuild_transversals(i)
     while i >= 0:
-        level = levels[i]
-        gens = level_gens(i)
-        residue_home = None
-        for x in list(level.transversal):
-            u = level.transversal[x]
-            for s in gens:
-                y = s.images[x]
-                schreier = u * s * level.inverses[y]
-                if schreier.is_identity():
-                    continue
-                residue = _sift(levels, schreier, i + 1)
-                if not residue.is_identity():
-                    # residue fixes the base points of levels 0..i, so its
-                    # home is at least i + 1
-                    residue_home = place(residue)
-                    break
-            if residue_home is not None:
-                break
-        if residue_home is None:
+        level, gens = levels[i], level_gens(i)
+        residues = (
+            _sift(levels, u * s * level.inverses[s.images[x]], i + 1)
+            for x, u in level.transversal.items()
+            for s in gens
+        )
+        residue = next((r for r in residues if not r.is_identity()), None)
+        if residue is None:
             i -= 1
         else:
-            rebuild_transversals(residue_home)
-            i = residue_home
+            # residue fixes the base points of levels 0..i, so its home is
+            # at least i + 1
+            i = place(residue)
+            rebuild_transversals(i)
     return levels
 
 
@@ -289,7 +270,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _build_chain(self._degree, self._generators)
+                    self._chain = _build_chain([], self._degree, self._generators)
         return self._chain
 
     def order(self) -> int:
@@ -343,11 +324,9 @@ class PermGroup:
         """The subgroup fixing point."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
-        levels = _build_chain(self._degree, self._generators, base_prefix=(point,))
-        gens: list[Permutation] = []
-        for level in levels[1:]:
-            gens.extend(level.gens)
-        return PermGroup(self._degree, gens)
+        levels = [_Level(point, self.identity)]
+        _build_chain(levels, self._degree, self._generators)
+        return PermGroup(self._degree, [g for level in levels[1:] for g in level.gens])
 
     def elements(self, limit: int = 1_000_000) -> list[Permutation]:
         """All group elements; raises GuardExceeded when order > limit."""
@@ -370,12 +349,14 @@ class PermGroup:
     def normal_closure(self, seeds: Sequence[Permutation]) -> PermGroup:
         """Smallest normal subgroup of self containing the seeds.
 
-        A worklist grows one stabilizer chain: a candidate that sifts through
-        it is dropped, any other becomes a generator, extends the chain and
+        A worklist grows one stabilizer chain.  A candidate that sifts
+        through it is dropped, since the closure so far lies in self; any
+        other is sifted into self, becomes a generator, extends the chain and
         queues its conjugates by the generators of self.  Each generator kept
-        enlarges the closure, so a p-group's closure N keeps <= log_p |N|."""
+        enlarges the closure, so a p-group's closure N keeps, and sifts into
+        self, <= log_p |N| of them."""
         for s in seeds:
-            if s not in self:
+            if not isinstance(s, Permutation) or s.degree != self._degree:
                 raise GroupError("seed is not a member of the group")
         conjugators = [(g.inverse(), g) for g in self._generators]
         gens: list[Permutation] = []
@@ -383,10 +364,13 @@ class PermGroup:
         queue = collections.deque(seeds)
         while queue:
             h = queue.popleft()
-            if not _sift(levels, h).is_identity():
-                gens.append(h)
-                _build_chain(self._degree, (h,), levels=levels)
-                queue.extend(g_inv * h * g for g_inv, g in conjugators)
+            if _sift(levels, h).is_identity():
+                continue
+            if h not in self:
+                raise GroupError("seed is not a member of the group")
+            gens.append(h)
+            _build_chain(levels, self._degree, (h,))
+            queue.extend(g_inv * h * g for g_inv, g in conjugators)
         closure = PermGroup(self._degree, gens)
         closure._chain = levels
         return closure
@@ -443,10 +427,9 @@ def commutator_subgroup(G: PermGroup, A: PermGroup, B: PermGroup) -> PermGroup:
     """The subgroup generated by all commutators [a, b] with a in A, b in B.
 
     Computed as the normal closure, inside <A, B>, of the commutators of
-    generator pairs; this equals the full commutator subgroup whenever one
-    of A, B is normal in <A, B>, which covers every use in this package.
-    When one of A, B contains the other it is <A, B> itself and its chain is
-    reused, so the lower central series takes every closure inside G.
+    generator pairs, which is [A, B] for any A and B.  When one of A, B
+    contains the other it is <A, B> itself and its chain is reused, so the
+    lower central series takes every closure inside G.
     """
     if not G.contains_group(A):
         raise GroupError("A is not a subgroup of G")

@@ -140,15 +140,20 @@ class _Tables:
 
 
 def _iter_subgroup_sets(
-    tables: _Tables, p: int, dedupe: str, max_count: int
+    tables: _Tables, p: int, dedupe: str, max_count: int | None
 ) -> Iterator[frozenset[int]]:
     """Yield subgroups of the table group as element-index sets, smallest
     order first, deterministic.  In conjugacy mode one representative per
     conjugacy class is yielded (the one with the least sorted element key)
     and only representatives are extended, which is sound because
-    extensions of conjugate subgroups are conjugate."""
+    extensions of conjugate subgroups are conjugate.  Set mode is the same
+    loop with no conjugators, so every orbit is {K} and K is its own
+    representative.  max_count None means default_budget()."""
     if dedupe not in ("set", "conjugacy"):
         raise ValueError(f"unknown dedupe mode {dedupe!r}")
+    if max_count is None:
+        max_count = default_budget()
+    conjugators = tables.gen_indices if dedupe == "conjugacy" else ()
     identity = tables.identity
     n = len(tables.elements)
     pow_p = [tables.power(g, p) for g in range(n)]
@@ -177,21 +182,17 @@ def _iter_subgroup_sets(
                 K = frozenset(K)
                 if K in next_seen:
                     continue
-                if dedupe == "conjugacy":
-                    orbit = {K}
-                    frontier = [K]
-                    while frontier:
-                        current = frontier.pop()
-                        for s in tables.gen_indices:
-                            conj = tables.conjugate_set(current, s)
-                            if conj not in orbit:
-                                orbit.add(conj)
-                                frontier.append(conj)
-                    next_seen |= orbit
-                    K = min(orbit, key=sorted)
-                else:
-                    next_seen.add(K)
-                next_level.append(K)
+                orbit = {K}
+                frontier = [K]
+                while frontier:
+                    current = frontier.pop()
+                    for s in conjugators:
+                        conj = tables.conjugate_set(current, s)
+                        if conj not in orbit:
+                            orbit.add(conj)
+                            frontier.append(conj)
+                next_seen |= orbit
+                next_level.append(min(orbit, key=sorted))
                 yielded += 1
                 if yielded > max_count:
                     raise GuardExceeded(
@@ -218,8 +219,6 @@ def enumerate_subgroups(
         raise GuardExceeded(
             f"group order {order} exceeds subgroup enumeration guard {max_order}"
         )
-    if max_count is None:
-        max_count = default_budget()
     tables = _Tables(S)
     for subgroup in _iter_subgroup_sets(tables, p, dedupe, max_count):
         yield tables.to_perm_group(subgroup)
@@ -264,8 +263,6 @@ def fnil_exact(
         raise ValueError("k and c_max must be positive")
     if c_max > CLASS_BOUND_LIMIT:
         raise GuardExceeded(f"search --cmax {c_max} is over the limit {CLASS_BOUND_LIMIT}")
-    if max_count is None:
-        max_count = default_budget()
     tower = iterated_wreath_sylow(p, k)
     tables = _Tables(tower)
 

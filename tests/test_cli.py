@@ -94,6 +94,11 @@ class TestBound:
         assert data["f_upper"] == 8
         assert data["binomial_lower"] == 4
 
+    @pytest.mark.parametrize("k,c", [(0, 3), (3, 0), (-2, 3)])
+    def test_nonpositive_k_or_c_is_a_usage_error(self, capsys, k, c):
+        code, out, err = run(capsys, "bound", "--p", "2", "--k", str(k), "--c", str(c))
+        assert (code, out, err) == (EXIT_USAGE, "", "error: k and c must be positive\n")
+
     def test_non_prime_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--p", "6", "--k", "2", "--c", "2")
         assert code == EXIT_USAGE
@@ -381,6 +386,11 @@ class TestTable:
         assert (code, out) == (EXIT_GUARD, "")
         assert err == ("refused: table --table1 --kmax 106 needs sum of k*k*c = 4026410 "
                        "DP cells, over the limit 4000000\n")
+
+    @pytest.mark.parametrize("kmax", [0, -3])
+    def test_table1_nonpositive_kmax_is_a_usage_error(self, capsys, kmax):
+        code, out, err = run(capsys, "table", "--table1", "--kmax", str(kmax))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: --kmax must be positive, got {kmax}\n")
 
     def test_table2_marks_sources(self, capsys):
         code, out, _ = run(capsys, "table", "--table2")

@@ -1,5 +1,6 @@
 """Permutation and group engine tests against closure-based oracles."""
 
+import itertools
 import json
 import time
 
@@ -19,6 +20,7 @@ from nilbound.perm import (
     lower_central_series,
     nilpotency_class,
 )
+from nilbound.search import enumerate_subgroups
 
 from conftest import NAIVE_CLOSURE_LIMIT, cyclic, klein_four, naive_closure, sym3
 
@@ -180,6 +182,19 @@ class TestNormalClosureAndCommutators:
         with pytest.raises(GroupError):
             G.normal_closure([Permutation.from_cycles(4, (0, 1))])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [Permutation.from_cycles(4, (0, 1)), Permutation.from_cycles(5, (0, 1)), (1, 2, 3, 0)],
+        ids=["non-member", "wrong-degree", "not-a-permutation"],
+    )
+    def test_bad_seed_after_contained_seeds(self, bad):
+        # the bad seed comes after r, which the closure keeps, and r^2, which
+        # it already contains
+        G = cyclic(4)
+        r = G.generators[0]
+        with pytest.raises(GroupError, match="seed is not a member of the group"):
+            G.normal_closure([r, r * r, bad])
+
     def test_parent_group_is_left_unchanged(self):
         G = iterated_wreath_sylow(2, 3)
         gens, order, chain = G.generators, G.order(), G._levels()
@@ -213,6 +228,29 @@ class TestNormalClosureAndCommutators:
         assert derived.order() == len(oracle) == 2
         for images in oracle:
             assert Permutation(images) in derived
+
+    def test_incomparable_subgroups_brute_force(self):
+        # neither subgroup contains the other, so the closure is taken in
+        # <A, B>; the oracle closes the commutators of all element pairs
+        T = iterated_wreath_sylow(2, 3)
+        subgroups = [H for H in enumerate_subgroups(T, dedupe="conjugacy") if H.is_transitive()]
+        elements = {  # (g, g^-1) as image tuples
+            H: [(g, tuple(sorted(range(8), key=g.__getitem__))) for g in naive_closure(8, H.generators)]
+            for H in subgroups
+        }
+        pairs = 0
+        for A, B in itertools.combinations(subgroups, 2):
+            if A.contains_group(B) or B.contains_group(A):
+                continue
+            pairs += 1
+            # [a, b] = a^-1 b^-1 a b, applied left to right
+            comms = {tuple(b[a[bi[ai[x]]]] for x in range(8))
+                     for a, ai in elements[A] for b, bi in elements[B]}
+            oracle = naive_closure(8, [Permutation(c) for c in comms])
+            C = commutator_subgroup(T, A, B)
+            assert C.order() == len(oracle)
+            assert all(Permutation(c) in C for c in oracle)
+        assert pairs == 450
 
 
 class TestCentralSeries:
