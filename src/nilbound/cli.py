@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds, search
@@ -123,8 +124,8 @@ def _load_group(value: str) -> PermGroup:
 def cmd_analyze(args: argparse.Namespace) -> int:
     group = _load_group(args.group)
     # the degrees construct realizes; an n-cycle takes ~4x as long per doubling of n
-    # (0.05 s at 256): its center has n elements, one per image of point 0, and
-    # their normal closure sifts each of them
+    # (0.05 s at 256): its center has n elements, one per point of its chain's
+    # first level, and their normal closure sifts each of them
     if group.degree > DEGREE_GUARD:
         raise GuardExceeded(f"analyze of degree {group.degree} is over the limit {DEGREE_GUARD}")
     series = lower_central_series(group)
@@ -277,13 +278,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # RecursionError comes only from input nested too deeply: JSON, product blueprints
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (_UsageError, ValueError, NotNilpotentError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except BrokenPipeError:
+        # the reader closed stdout: let the interpreter's exit flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -423,42 +423,39 @@ class CentralSeries:
         return [t.order() for t in self.terms]
 
 
+def _commutators(A: PermGroup, B: PermGroup) -> list[Permutation]:
+    """The non-identity commutators [a, b] of generator pairs, a-major."""
+    seeds = (commutator(a, b) for a in A.generators for b in B.generators)
+    return [s for s in seeds if not s.is_identity()]
+
+
 def commutator_subgroup(G: PermGroup, A: PermGroup, B: PermGroup) -> PermGroup:
     """The subgroup generated by all commutators [a, b] with a in A, b in B.
 
-    Computed as the normal closure, inside <A, B>, of the commutators of
-    generator pairs, which is [A, B] for any A and B.  When one of A, B
-    contains the other it is <A, B> itself and its chain is reused, so the
-    lower central series takes every closure inside G.
+    A and B must lie in G.  Computed as the normal closure, inside <A, B>, of
+    the commutators of generator pairs, which is [A, B] for any A and B.
     """
     if not G.contains_group(A):
         raise GroupError("A is not a subgroup of G")
     if not G.contains_group(B):
         raise GroupError("B is not a subgroup of G")
-    if B.contains_group(A):
-        joint = B
-    elif A.contains_group(B):
-        joint = A
-    else:
-        joint = PermGroup(G.degree, A.generators + B.generators)
-    seeds = (commutator(a, b) for a in A.generators for b in B.generators)
-    return joint.normal_closure([s for s in seeds if not s.is_identity()])
+    joint = PermGroup(G.degree, A.generators + B.generators)
+    return joint.normal_closure(_commutators(A, B))
 
 
 def lower_central_series(G: PermGroup) -> CentralSeries:
-    """Iterate term[i+1] = [term[i], G] until the series stabilizes."""
+    """Iterate term[i+1] = [term[i], G] until the series stabilizes.  Each
+    term is normal in G, so [term, G] is the normal closure in G of the
+    generator commutators: it grows on G's chain, with no membership check."""
     terms = [G]
-    while True:
+    while terms[-1].order() > 1:
         current = terms[-1]
-        if current.order() == 1:
-            break
-        nxt = commutator_subgroup(G, current, G)
+        nxt = G.normal_closure(_commutators(current, G))
         if nxt.order() == current.order():
             # stalled above the trivial group
             return CentralSeries(tuple(terms), None)
         terms.append(nxt)
-    nontrivial = sum(1 for t in terms if t.order() > 1)
-    return CentralSeries(tuple(terms), nontrivial)
+    return CentralSeries(tuple(terms), len(terms) - 1)
 
 
 def nilpotency_class(G: PermGroup) -> int:
@@ -474,31 +471,25 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
     """The nonidentity central elements of a transitive G, found without
     listing G.
 
-    If z commutes with G then z(x^s) = z(x)^s for every point x and
-    generator s, so z is fixed by t = z(0): walking a breadth-first tree of
-    point 0 over the generators fills in the one candidate for each t.  A
+    Level 0 of G's chain has base point b and, G being transitive, holds a
+    u_y with b^u_y = y for every point y.  A central z has z(y) = z(b)^u_y,
+    so the transversal gives one candidate per t = z(b) != b, taken in the
+    order of z(0) so that the center's generators do not depend on b.  A
     candidate is central exactly when it is a bijection, commutes with every
     generator and lies in G.  Cost O(n^2 |gens|) plus one sift per survivor.
     """
     n = G.degree
     gens = [g.images for g in G.generators]
-    tree: list[tuple[int, tuple[int, ...], int]] = []  # (x, s, x^s), parents first
-    reached = {0}
-    frontier = collections.deque([0])
-    while frontier:
-        x = frontier.popleft()
-        for s in gens:
-            y = s[x]
-            if y not in reached:
-                reached.add(y)
-                tree.append((x, s, y))
-                frontier.append(y)
+    levels = G._levels()
+    if not levels:  # degree 1
+        return []
+    level = levels[0]
+    u = [level.transversal[y].images for y in range(n)]
     central = []
-    for t in range(1, n):
-        z = [0] * n
-        z[0] = t
-        for x, s, y in tree:
-            z[y] = s[z[x]]
+    for t in level.inverses[0].images:  # t = z(b) for z(0) = 0, 1, ..., n-1
+        if t == level.point:
+            continue
+        z = [u_y[t] for u_y in u]
         if len(set(z)) != n:
             continue
         if any([z[x] for x in s] != [s[x] for x in z] for s in gens):
@@ -512,12 +503,12 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
 def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
     """The subgroup of elements commuting with every generator.
 
-    A transitive G is handled from the images of point 0 alone (one
-    candidate per point, O(n^2 |gens|), no element list); an intransitive G
-    falls back to a scan of all its elements.  Either way the group order
-    must stay within limit.  The central elements are their own conjugates,
-    so their normal closure keeps only those that enlarge the group: at most
-    log_2 |Z| generators.
+    A transitive G is handled from the first level of the chain its order
+    guard builds (one candidate per point, O(n^2 |gens|), no element list);
+    an intransitive G falls back to a scan of all its elements.  Either way
+    the group order must stay within limit.  The central elements are their
+    own conjugates, so their normal closure keeps only those that enlarge
+    the group: at most log_2 |Z| generators.
     """
     if G.order() > limit:
         raise GuardExceeded(

@@ -48,7 +48,10 @@ def default_budget() -> int:
 
 
 class _Tables:
-    """Multiplication/inverse tables over the sorted element list of a group."""
+    """Multiplication/inverse tables over the sorted element list of a group.
+
+    mult[i][j] indexes elements[i] * elements[j]; the inverse of element i
+    is read from its row as the column holding the identity."""
 
     def __init__(self, group: PermGroup):
         elements = sorted(g.images for g in group.elements())
@@ -58,17 +61,11 @@ class _Tables:
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 mult[i][j] = index[tuple(b[x] for x in a)]
-        inv = [0] * n
-        for i, a in enumerate(elements):
-            images = [0] * len(a)
-            for x, y in enumerate(a):
-                images[y] = x
-            inv[i] = index[tuple(images)]
         self.elements = elements
         self.index = index
         self.mult = mult
-        self.inv = inv
         self.identity = index[tuple(range(group.degree))]
+        self.inv = [row.index(self.identity) for row in mult]
         self.degree = group.degree
         self.gen_indices = sorted(index[g.images] for g in group.generators)
 

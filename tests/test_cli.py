@@ -1,6 +1,7 @@
 """CLI surface: verbs, exit codes, JSON determinism, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from datetime import timedelta
@@ -449,6 +450,27 @@ class TestContracts:
 
 class TestRobustness:
     """Every invocation ends in one line and exit 0, 1 or 2, in bounded time."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--p", "2", "--k", "2", "--c", "2"], ["table", "--table1", "--kmax", "5"]],
+        ids=["bound", "table1"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        # stdout is a pipe whose reader has already gone, as in `nilbound ... | head`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "nilbound.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_USAGE, "")
 
     @pytest.mark.parametrize(
         "verb,flag,text",

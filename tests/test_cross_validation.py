@@ -87,12 +87,45 @@ def test_centers_of_every_kind_match():
         assert_center_matches_sympy(G)
 
 
+def test_centers_off_base_point_0_match():
+    # a first generator that fixes point 0 moves the chain's base point off 0
+    moved = 0
+    for kind, params in CENTER_BLUEPRINTS.items():
+        G = realize(blueprint_from_json({"kind": kind, "params": params}))
+        stabilizer = G.point_stabilizer(0)
+        if not stabilizer.generators:
+            continue
+        H = PermGroup(G.degree, (stabilizer.generators[0],) + G.generators)
+        assert H._levels()[0].point != 0, kind
+        assert_center_matches_sympy(H)
+        moved += 1
+    assert moved >= 4
+
+
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
 def test_centers_of_transitive_tower_subgroups_match(p, k):
     transitive = [H for H in enumerate_subgroups(iterated_wreath_sylow(p, k)) if H.is_transitive()]
     assert transitive
     for H in transitive:
         assert_center_matches_sympy(H)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_center_generators_do_not_depend_on_the_base_point(p, k):
+    # the candidates come in the order of their image of point 0, so moving
+    # the chain's base point leaves the center's generators as they were
+    moved = 0
+    for G in enumerate_subgroups(iterated_wreath_sylow(p, k)):
+        stabilizer = G.point_stabilizer(0)
+        if not G.is_transitive() or not stabilizer.generators:
+            continue
+        first = next(g for g in G.generators if g(0) != 0)
+        at_0 = PermGroup(G.degree, (first,) + G.generators)
+        off_0 = PermGroup(G.degree, (stabilizer.generators[0],) + G.generators)
+        assert at_0._levels()[0].point == 0 != off_0._levels()[0].point
+        assert center(off_0).generators == center(at_0).generators
+        moved += 1
+    assert moved
 
 
 def test_center_of_intransitive_group_matches():

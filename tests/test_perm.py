@@ -269,6 +269,17 @@ class TestCentralSeries:
         series = lower_central_series(iterated_wreath_sylow(2, 3))
         assert series.nilpotency_class == 4
 
+    def test_terms_match_commutator_subgroup(self, corpus):
+        # the series closes in G and commutator_subgroup in <term, G>: two paths
+        for name, G in corpus:
+            terms = lower_central_series(G).terms
+            # past the last term the series is fixed: [1, G] = 1, and a
+            # stalled term is its own [term, G]
+            for current, nxt in zip(terms, terms[1:] + terms[-1:]):
+                C = commutator_subgroup(G, current, G)
+                assert C.order() == nxt.order(), name
+                assert C.contains_group(nxt) and nxt.contains_group(C), name
+
     def test_not_nilpotent_marker(self):
         series = lower_central_series(sym3())
         assert series.nilpotency_class is None
