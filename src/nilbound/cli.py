@@ -124,7 +124,7 @@ def _load_group(value: str) -> PermGroup:
 def cmd_analyze(args: argparse.Namespace) -> int:
     group = _load_group(args.group)
     # the degrees construct realizes; an n-cycle takes ~4x as long per doubling of n
-    # (0.05 s at 256): its center has n elements, one per point of its chain's
+    # (0.03 s at 256): its center has n elements, one per point of its chain's
     # first level, and their normal closure sifts each of them
     if group.degree > DEGREE_GUARD:
         raise GuardExceeded(f"analyze of degree {group.degree} is over the limit {DEGREE_GUARD}")

@@ -6,16 +6,20 @@ come from a deterministic base/strong-generating-set chain (no random
 Schreier-Sims).  A group builds its chain once, on first demand; a normal
 closure grows one private chain generator by generator and hands it to the
 group it returns.  A chain attached to a group is never mutated afterwards,
-so groups are safe to share across threads.
+so groups are safe to share across threads.  Products run in C, ``a * b``
+as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
+compares with the images of one cached identity per degree.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -46,9 +50,10 @@ class Permutation:
             seen[x] = True
         self._images = images
 
-    @classmethod
-    def identity(cls, degree: int) -> Permutation:
-        return cls(range(degree))
+    @staticmethod
+    @functools.cache
+    def identity(degree: int) -> Permutation:
+        return _raw(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> Permutation:
@@ -74,10 +79,13 @@ class Permutation:
 
     def __mul__(self, other: Permutation) -> Permutation:
         # apply self first, then other
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if len(self._images) != len(other._images):
             raise ValueError("degree mismatch")
-        o = other._images
-        return _raw(tuple(o[x] for x in self._images))
+        if len(self._images) < 2:  # the identity; itemgetter needs 2 for a tuple
+            return other
+        return _raw(itemgetter(*self._images)(other._images))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self._images)
@@ -102,7 +110,7 @@ class Permutation:
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self._images))
+        return self._images == Permutation.identity(len(self._images))._images
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
@@ -145,8 +153,8 @@ def _raw(images: tuple[int, ...]) -> Permutation:
 
 
 def commutator(x: Permutation, y: Permutation) -> Permutation:
-    """[x, y] = x^-1 y^-1 x y."""
-    return x.inverse() * y.inverse() * x * y
+    """[x, y] = x^-1 y^-1 x y, computed as (y x)^-1 (x y) with one inverse."""
+    return (y * x).inverse() * (x * y)
 
 
 class _Level:
@@ -479,11 +487,13 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
     generator and lies in G.  Cost O(n^2 |gens|) plus one sift per survivor.
     """
     n = G.degree
-    gens = [g.images for g in G.generators]
     levels = G._levels()
     if not levels:  # degree 1
         return []
     level = levels[0]
+    # a level means degree >= 2, so each itemgetter gives a tuple:
+    # s_times(z) and z_times(s) are the images of s * z and z * s
+    gens = [(s.images, itemgetter(*s.images)) for s in G.generators]
     u = [level.transversal[y].images for y in range(n)]
     central = []
     for t in level.inverses[0].images:  # t = z(b) for z(0) = 0, 1, ..., n-1
@@ -492,7 +502,8 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
         z = [u_y[t] for u_y in u]
         if len(set(z)) != n:
             continue
-        if any([z[x] for x in s] != [s[x] for x in z] for s in gens):
+        z_times = itemgetter(*z)
+        if any(s_times(z) != z_times(s) for s, s_times in gens):
             continue
         candidate = _raw(tuple(z))
         if candidate in G:

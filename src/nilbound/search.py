@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from . import bounds
@@ -56,11 +57,12 @@ class _Tables:
     def __init__(self, group: PermGroup):
         elements = sorted(g.images for g in group.elements())
         index = {images: i for i, images in enumerate(elements)}
-        n = len(elements)
-        mult = [[0] * n for _ in range(n)]
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                mult[i][j] = index[tuple(b[x] for x in a)]
+        mult = []
+        for a in elements:
+            # a_times(b) is the image tuple of a * b; itemgetter of one index
+            # gives a scalar, so degrees 0 and 1 (identity only) use tuple
+            a_times = itemgetter(*a) if len(a) > 1 else tuple
+            mult.append([index[a_times(b)] for b in elements])
         self.elements = elements
         self.index = index
         self.mult = mult

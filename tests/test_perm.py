@@ -53,8 +53,15 @@ class TestPermutation:
         assert (p.inverse() * p).is_identity()
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError, match="degree mismatch"):
-            Permutation.identity(3) * Permutation.identity(4)
+        for m, n in ((3, 4), (1, 2), (0, 1)):
+            with pytest.raises(ValueError, match="degree mismatch"):
+                Permutation.identity(m) * Permutation.identity(n)
+
+    @pytest.mark.parametrize("other", [3, None, (1, 0)])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_mul_by_non_permutation_is_a_type_error(self, degree, other):
+        with pytest.raises(TypeError):
+            Permutation.identity(degree) * other
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):

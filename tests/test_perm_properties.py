@@ -1,9 +1,9 @@
 """Property-based checks of the group engine on random generator sets."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilbound.perm import PermGroup, Permutation
+from nilbound.perm import PermGroup, Permutation, commutator
 
 from conftest import naive_closure
 
@@ -17,6 +17,25 @@ def small_groups(draw):
     degree = draw(st.integers(min_value=1, max_value=6))
     gens = draw(st.lists(permutations_of(degree), max_size=3))
     return PermGroup(degree, gens)
+
+
+@st.composite
+def permutation_pairs(draw):
+    degree = draw(st.integers(min_value=0, max_value=9))
+    return draw(permutations_of(degree)), draw(permutations_of(degree))
+
+
+@example((Permutation(()), Permutation(())))
+@example((Permutation((0,)), Permutation((0,))))
+@given(permutation_pairs())
+def test_kernel_matches_naive_loops(pair):
+    a, b = pair
+    n = a.degree
+    assert (a * b).images == tuple(b.images[x] for x in a.images)
+    for p in (a, a * a.inverse()):
+        assert p.is_identity() == (p.images == tuple(range(n)))
+    assert commutator(a, b) == a.inverse() * b.inverse() * a * b
+    assert Permutation.identity(n).images == tuple(range(n))
 
 
 @given(permutations_of(6), permutations_of(6), permutations_of(6))

@@ -11,6 +11,7 @@ from nilbound.perm import GuardExceeded, PermGroup, Permutation, nilpotency_clas
 from nilbound.search import (
     SearchRow,
     TABLE2_REFERENCE,
+    _Tables,
     audit_row,
     default_budget,
     enumerate_subgroups,
@@ -38,9 +39,10 @@ def as_element_set(subgroup):
 
 class TestEnumerateSubgroups:
     def test_trivial_group(self):
-        subs = list(enumerate_subgroups(PermGroup(3)))
-        assert len(subs) == 1
-        assert subs[0].order() == 1
+        for degree in (0, 1, 3):
+            subs = list(enumerate_subgroups(PermGroup(degree)))
+            assert len(subs) == 1
+            assert subs[0].order() == 1
 
     def test_cyclic_four(self):
         subs = list(enumerate_subgroups(cyclic(4)))
@@ -105,6 +107,16 @@ class TestEnumerateSubgroups:
         first = [H.to_json() for H in enumerate_subgroups(W)]
         second = [H.to_json() for H in enumerate_subgroups(W)]
         assert first == second
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2)])
+def test_tables_match_permutation_products(p, k):
+    tables = _Tables(iterated_wreath_sylow(p, k))
+    perms = [Permutation(images) for images in tables.elements]
+    for i, a in enumerate(perms):
+        assert tables.elements[tables.inv[i]] == a.inverse().images
+        for j, b in enumerate(perms):
+            assert tables.elements[tables.mult[i][j]] == (a * b).images
 
 
 class TestDegreeFourCompleteness:
