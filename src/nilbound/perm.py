@@ -53,6 +53,8 @@ class Permutation:
     @staticmethod
     @functools.cache
     def identity(degree: int) -> Permutation:
+        if degree < 0:
+            raise ValueError(f"degree must be non-negative, got {degree}")
         return _raw(tuple(range(degree)))
 
     @classmethod
@@ -253,6 +255,8 @@ class PermGroup:
     """A permutation group given by generators of one common degree."""
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
+        if degree < 0:
+            raise ValueError(f"degree must be non-negative, got {degree}")
         generators = tuple(generators)
         for g in generators:
             if g.degree != degree:

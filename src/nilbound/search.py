@@ -6,7 +6,8 @@ preserves order, transitivity and nilpotency class, so searching one fixed
 tower is lossless.  Subgroups are enumerated bottom-up by index-p cyclic
 extension: a subgroup H of order p^i extends to <H, g> for each g in the
 normalizer of H with g^p in H, and every subgroup of order p^(i+1) arises
-this way from a maximal subgroup.
+this way from a maximal subgroup.  As |K:H| = p is prime, every g in K - H
+gives the same K, so each overgroup K of H is built once, from its least g.
 
 The enumeration works over a multiplication table indexed by the sorted
 element list of the tower, which keeps subgroups as plain integer sets; the
@@ -22,7 +23,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from . import bounds
-from .constructions import iterated_wreath_sylow, sylow_exponent
+from .constructions import iterated_wreath_sylow
 from .perm import GuardExceeded, PermGroup, Permutation, nilpotency_class
 
 DEFAULT_BUDGET = 500_000
@@ -70,12 +71,6 @@ class _Tables:
         self.inv = [row.index(self.identity) for row in mult]
         self.degree = group.degree
         self.gen_indices = sorted(index[g.images] for g in group.generators)
-
-    def power(self, g: int, n: int) -> int:
-        result = self.identity
-        for _ in range(n):
-            result = self.mult[result][g]
-        return result
 
     def conjugate_set(self, subgroup: frozenset[int], g: int) -> frozenset[int]:
         gi = self.inv[g]
@@ -147,15 +142,21 @@ def _iter_subgroup_sets(
     and only representatives are extended, which is sound because
     extensions of conjugate subgroups are conjugate.  Set mode is the same
     loop with no conjugators, so every orbit is {K} and K is its own
-    representative.  max_count None means default_budget()."""
+    representative.  Each overgroup K of H is built once, from the least g
+    in K - H.  max_count None means default_budget()."""
     if dedupe not in ("set", "conjugacy"):
         raise ValueError(f"unknown dedupe mode {dedupe!r}")
     if max_count is None:
         max_count = default_budget()
+    if max_count < 0:
+        raise ValueError(f"max_count must be non-negative, got {max_count}")
     conjugators = tables.gen_indices if dedupe == "conjugacy" else ()
-    identity = tables.identity
-    n = len(tables.elements)
-    pow_p = [tables.power(g, p) for g in range(n)]
+    identity, mult = tables.identity, tables.mult
+    # powers[g] = [1, g, ..., g^(p-1)], so H<g> is the union of the cosets H g^j
+    powers = [[identity] for _ in tables.elements]
+    for _ in range(p - 1):
+        for g, row in enumerate(powers):
+            row.append(mult[row[-1]][g])
 
     trivial = frozenset({identity})
     yielded = 1
@@ -166,19 +167,13 @@ def _iter_subgroup_sets(
         next_level: list[frozenset[int]] = []
         next_seen: set[frozenset[int]] = set()
         for H in level:
-            candidates = [g for g in range(n) if g not in H and pow_p[g] in H]
-            for g in candidates:
-                # g must normalize H for <H, g> to have order p*|H|
-                mult, inv = tables.mult, tables.inv
-                gi = inv[g]
-                if any(mult[mult[gi][h]][g] not in H for h in H):
+            covered = set(H)  # H and every overgroup already built from it
+            for g, row in enumerate(powers):
+                # <H, g> has order p*|H| when g^p is in H and g normalizes H
+                if g in covered or mult[row[-1]][g] not in H or tables.conjugate_set(H, g) != H:
                     continue
-                K = set(H)
-                coset = H
-                for _ in range(p - 1):
-                    coset = frozenset(mult[h][g] for h in coset)
-                    K |= coset
-                K = frozenset(K)
+                K = frozenset(mult[h][x] for h in H for x in row)
+                covered |= K
                 if K in next_seen:
                     continue
                 orbit = {K}

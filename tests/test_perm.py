@@ -57,6 +57,16 @@ class TestPermutation:
             with pytest.raises(ValueError, match="degree mismatch"):
                 Permutation.identity(m) * Permutation.identity(n)
 
+    def test_negative_degree_is_rejected(self):
+        # degree 0 is the empty set's one permutation; below that is no set
+        assert Permutation.identity(0).degree == 0
+        assert PermGroup(0).order() == 1
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=f"degree must be non-negative, got {n}"):
+                Permutation.identity(n)
+            with pytest.raises(ValueError, match=f"degree must be non-negative, got {n}"):
+                PermGroup(n)
+
     @pytest.mark.parametrize("other", [3, None, (1, 0)])
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_mul_by_non_permutation_is_a_type_error(self, degree, other):

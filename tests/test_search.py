@@ -1,5 +1,6 @@
 """Subgroup enumeration and the exhaustive transitive-subgroup search."""
 
+import hashlib
 import itertools
 import json
 
@@ -81,6 +82,12 @@ class TestEnumerateSubgroups:
     def test_budget_refusal(self):
         with pytest.raises(GuardExceeded, match="search budget exceeded"):
             list(enumerate_subgroups(iterated_wreath_sylow(2, 3), max_count=10))
+
+    def test_negative_budget_is_a_usage_error(self):
+        with pytest.raises(ValueError, match="max_count must be non-negative, got -5"):
+            list(enumerate_subgroups(iterated_wreath_sylow(2, 2), max_count=-5))
+        with pytest.raises(ValueError, match="max_count must be non-negative, got -1"):
+            fnil_exact(2, 2, 4, max_count=-1)
 
     def test_order_guard(self):
         with pytest.raises(GuardExceeded):
@@ -259,3 +266,29 @@ def test_exhaustive_rows_match_reference_table():
     for k in (1, 2, 3):
         row = fnil_exact(2, k, 16)
         assert row.exponents == TABLE2_REFERENCE[k]
+
+
+# every tower the exhaustive search guard admits, with the set / conjugacy
+# stream lengths of the three that have more than a handful of subgroups
+SEARCH_TOWERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+STREAM_COUNTS = {(2, 2): (10, 8), (2, 3): (576, 177), (3, 2): (50, 20)}
+
+
+def test_subgroup_stream_is_pinned():
+    # a rewrite of the extension step must yield these exact subgroups in
+    # this exact order, and the search rows built from them
+    digest = hashlib.sha256()
+    for p, k in SEARCH_TOWERS:
+        tower = iterated_wreath_sylow(p, k)
+        counts = []
+        for mode in ("set", "conjugacy"):
+            count = 0
+            for H in enumerate_subgroups(tower, dedupe=mode):
+                digest.update(f"{p} {k} {mode} {H.dumps()}\n".encode())
+                count += 1
+            counts.append(count)
+            row = json.dumps(fnil_exact(p, k, 8, dedupe=mode).to_json(), sort_keys=True)
+            digest.update(f"{p} {k} {mode} row {row}\n".encode())
+        if (p, k) in STREAM_COUNTS:
+            assert tuple(counts) == STREAM_COUNTS[p, k]
+    assert digest.hexdigest() == "bc65657dc06507d160eee2f518144320d6b7841daf7b9f01fe31bc076ab81ca9"
