@@ -5,7 +5,9 @@ of a point and ``a * b`` means "apply a, then b".  Group order and membership
 come from a deterministic base/strong-generating-set chain (no random
 Schreier-Sims).  A group builds its chain once, on first demand; a normal
 closure grows one private chain generator by generator and hands it to the
-group it returns.  A chain attached to a group is never mutated afterwards,
+group it returns.  Chains grow incrementally: transversals only gain points,
+and verification resumes where it stopped, so no Schreier generator is
+sifted twice.  A chain attached to a group is never mutated afterwards,
 so groups are safe to share across threads.  Products run in C, ``a * b``
 as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
 compares with the images of one cached identity per degree.
@@ -77,6 +79,8 @@ class Permutation:
         return len(self._images)
 
     def __call__(self, point: int) -> int:
+        if not 0 <= point < len(self._images):
+            raise ValueError(f"point {point} out of range for degree {len(self._images)}")
         return self._images[point]
 
     def __mul__(self, other: Permutation) -> Permutation:
@@ -137,6 +141,8 @@ class Permutation:
         return hash(self._images)
 
     def __lt__(self, other: Permutation) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self._images < other._images
 
     def __repr__(self) -> str:
@@ -187,17 +193,28 @@ def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
 
 
 def _build_chain(
-    levels: list[_Level], degree: int, generators: Iterable[Permutation]
+    levels: list[_Level], degree: int, generators: Iterable[Permutation],
+    verified: dict[tuple[int, int], int],
 ) -> list[_Level]:
-    """Deterministic Schreier-Sims: extend levels, a verified chain that no
-    group holds yet ([] or base points with no generators), by generators.
+    """Deterministic incremental Schreier-Sims: extend levels, a verified
+    chain that no group holds yet ([] or base points with no generators), by
+    generators.
 
     A strong generator is stored at the first level whose base point it
     moves; the group at level i is generated by everything stored at levels
     >= i.  Levels are verified bottom-up from the highest one touched: every
-    Schreier generator of level i must sift to the identity through the
-    deeper levels, and the first non-identity residue becomes a new strong
-    generator, after which verification restarts at its home level.
+    Schreier generator u_x * s * u_{x^s}^-1 of level i must sift to the
+    identity through the deeper levels, and the first non-identity residue
+    becomes a new strong generator, after which verification restarts at its
+    home level.
+
+    Transversals only grow, from the points already in them, and no u_x is
+    replaced; the deeper levels' group only grows too, so a Schreier
+    generator once verified stays verified.  verified maps (level, id(s)) to
+    how many transversal points, in insertion order, have a verified pair
+    with s; verification resumes there and skips tree edges (u_x * s ==
+    u_{x^s}).  The caller keeps verified only while it grows this chain, and
+    every s it names stays alive in levels, so no id is reused meanwhile.
     """
     identity = Permutation.identity(degree)
 
@@ -216,38 +233,52 @@ def _build_chain(
         levels[-1].gens.append(g)
         return len(levels) - 1
 
-    def rebuild_transversals(top: int) -> None:
+    def extend_transversals(top: int) -> None:
         for j, level in enumerate(levels[: top + 1]):
-            level.transversal = {level.point: identity}
-            frontier = [level.point]
+            transversal = level.transversal
+            frontier = list(transversal)
             gens = level_gens(j)
             while frontier:
                 x = frontier.pop()
-                u = level.transversal[x]
+                u = transversal[x]
                 for s in gens:
                     y = s.images[x]
-                    if y not in level.transversal:
-                        level.transversal[y] = u * s
+                    if y not in transversal:
+                        transversal[y] = u * s
+                        level.inverses[y] = transversal[y].inverse()
                         frontier.append(y)
-            level.inverses = {y: u.inverse() for y, u in level.transversal.items()}
+
+    def first_residue(i: int) -> Permutation | None:
+        """Sift the Schreier generators of level i not verified yet; return
+        the first non-identity residue, or None once all are verified."""
+        level = levels[i]
+        points = list(level.transversal.items())
+        for s in level_gens(i):
+            key = (i, id(s))
+            for k in range(verified.get(key, 0), len(points)):
+                x, u = points[k]
+                us, y = u * s, s.images[x]
+                if us != level.transversal[y]:
+                    residue = _sift(levels, us * level.inverses[y], i + 1)
+                    if not residue.is_identity():
+                        # this pair is residue times deeper transversal
+                        # elements, so placing residue verifies it
+                        verified[key] = k + 1
+                        return residue
+            verified[key] = len(points)
+        return None
 
     i = max((place(g) for g in generators if not g.is_identity()), default=-1)
-    rebuild_transversals(i)
+    extend_transversals(i)
     while i >= 0:
-        level, gens = levels[i], level_gens(i)
-        residues = (
-            _sift(levels, u * s * level.inverses[s.images[x]], i + 1)
-            for x, u in level.transversal.items()
-            for s in gens
-        )
-        residue = next((r for r in residues if not r.is_identity()), None)
+        residue = first_residue(i)
         if residue is None:
             i -= 1
         else:
             # residue fixes the base points of levels 0..i, so its home is
             # at least i + 1
             i = place(residue)
-            rebuild_transversals(i)
+            extend_transversals(i)
     return levels
 
 
@@ -282,7 +313,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _build_chain([], self._degree, self._generators)
+                    self._chain = _build_chain([], self._degree, self._generators, {})
         return self._chain
 
     def order(self) -> int:
@@ -327,7 +358,8 @@ class PermGroup:
         return sorted(seen)
 
     def is_transitive(self) -> bool:
-        return self._degree == 1 or len(self.orbit(0)) == self._degree
+        """Whether one orbit covers every point; the empty set has no orbit."""
+        return self._degree > 0 and len(self.orbit(0)) == self._degree
 
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order() == self._degree
@@ -337,7 +369,7 @@ class PermGroup:
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
         levels = [_Level(point, self.identity)]
-        _build_chain(levels, self._degree, self._generators)
+        _build_chain(levels, self._degree, self._generators, {})
         return PermGroup(self._degree, [g for level in levels[1:] for g in level.gens])
 
     def elements(self, limit: int = 1_000_000) -> list[Permutation]:
@@ -373,6 +405,7 @@ class PermGroup:
         conjugators = [(g.inverse(), g) for g in self._generators]
         gens: list[Permutation] = []
         levels: list[_Level] = []
+        verified: dict[tuple[int, int], int] = {}
         queue = collections.deque(seeds)
         while queue:
             h = queue.popleft()
@@ -381,7 +414,7 @@ class PermGroup:
             if h not in self:
                 raise GroupError("seed is not a member of the group")
             gens.append(h)
-            _build_chain(levels, self._degree, (h,))
+            _build_chain(levels, self._degree, (h,), verified)
             queue.extend(g_inv * h * g for g_inv, g in conjugators)
         closure = PermGroup(self._degree, gens)
         closure._chain = levels
@@ -436,8 +469,11 @@ class CentralSeries:
 
 
 def _commutators(A: PermGroup, B: PermGroup) -> list[Permutation]:
-    """The non-identity commutators [a, b] of generator pairs, a-major."""
-    seeds = (commutator(a, b) for a in A.generators for b in B.generators)
+    """The non-identity commutators [a, b] = a^-1 b^-1 a b of generator
+    pairs, a-major, inverting each generator once."""
+    a_pairs = [(a.inverse(), a) for a in A.generators]
+    b_pairs = [(b.inverse(), b) for b in B.generators]
+    seeds = (ai * bi * a * b for ai, a in a_pairs for bi, b in b_pairs)
     return [s for s in seeds if not s.is_identity()]
 
 

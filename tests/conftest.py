@@ -42,6 +42,40 @@ def naive_closure(degree: int, gens, limit: int = NAIVE_CLOSURE_LIMIT) -> set[tu
     return closed
 
 
+def assert_chain_verified(levels, generators) -> None:
+    """Re-verify a stabilizer chain from scratch (oracle for the incremental
+    chain builder, sharing none of its bookkeeping): each strong generator
+    fixes the base points above its level and moves its own, each
+    transversal entry u_x sends the base point to x and cancels with its
+    stored inverse, every Schreier generator u_x * s * u_{x^s}^-1 of level i
+    (s over the generators at levels >= i) sifts to the identity through
+    the deeper levels, and so does every one of the given generators."""
+
+    def sifts_to_identity(h, deeper) -> bool:
+        for level in deeper:
+            x = h.images[level.point]
+            if x not in level.transversal:
+                return False
+            h = h * level.inverses[x]
+        return h.is_identity()
+
+    for i, level in enumerate(levels):
+        for s in level.gens:
+            assert s.images[level.point] != level.point
+            assert all(s.images[above.point] == above.point for above in levels[:i])
+        assert level.transversal.keys() == level.inverses.keys()
+        gens = [s for deeper in levels[i:] for s in deeper.gens]
+        for x, u in level.transversal.items():
+            assert u.images[level.point] == x
+            assert (u * level.inverses[x]).is_identity()
+            for s in gens:
+                y = s.images[x]
+                assert y in level.transversal, "orbit not closed"
+                schreier = u * s * level.inverses[y]
+                assert sifts_to_identity(schreier, levels[i + 1 :]), (i, x, s)
+    assert all(sifts_to_identity(g, levels) for g in generators)
+
+
 def compositions(k: int, c: int):
     """All compositions of k into c non-negative parts, lexicographically."""
     if c == 1:

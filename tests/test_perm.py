@@ -7,7 +7,13 @@ import time
 import pytest
 
 from nilbound.cli import main
-from nilbound.constructions import iterated_wreath_sylow, product_action
+from nilbound.constructions import (
+    iterated_wreath_sylow,
+    make_blueprint,
+    product_action,
+    realize,
+    wreath_polynomial_group,
+)
 from nilbound.perm import (
     GroupError,
     GuardExceeded,
@@ -19,10 +25,19 @@ from nilbound.perm import (
     commutator_subgroup,
     lower_central_series,
     nilpotency_class,
+    _build_chain,
+    _Level,
 )
 from nilbound.search import enumerate_subgroups
 
-from conftest import NAIVE_CLOSURE_LIMIT, cyclic, klein_four, naive_closure, sym3
+from conftest import (
+    NAIVE_CLOSURE_LIMIT,
+    assert_chain_verified,
+    cyclic,
+    klein_four,
+    naive_closure,
+    sym3,
+)
 
 
 class TestPermutation:
@@ -72,6 +87,19 @@ class TestPermutation:
     def test_mul_by_non_permutation_is_a_type_error(self, degree, other):
         with pytest.raises(TypeError):
             Permutation.identity(degree) * other
+
+    @pytest.mark.parametrize("point", [-1, 3, 10])
+    def test_call_checks_its_point(self, point):
+        p = Permutation([1, 0, 2])
+        assert [p(x) for x in range(3)] == [1, 0, 2]
+        with pytest.raises(ValueError, match=f"point {point} out of range for degree 3"):
+            p(point)
+
+    @pytest.mark.parametrize("other", [3, None, (1, 0)])
+    def test_order_against_non_permutation_is_a_type_error(self, other):
+        assert Permutation([0, 1]) < Permutation([1, 0])
+        with pytest.raises(TypeError):
+            Permutation([1, 0]) < other
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -172,6 +200,11 @@ class TestOrbitsAndStabilizers:
         assert not PermGroup(3).is_transitive()
         D4 = iterated_wreath_sylow(2, 2)
         assert D4.is_transitive() and not D4.is_regular()
+
+    def test_degree_zero_is_not_transitive(self):
+        # the empty set has no orbit; degree 1 has the one orbit {0}
+        assert not PermGroup(0).is_transitive() and not PermGroup(0).is_regular()
+        assert PermGroup(1).is_transitive() and PermGroup(1).is_regular()
 
 
 class TestNormalClosureAndCommutators:
@@ -330,6 +363,66 @@ class TestCentralSeries:
                 assert series.terms[-1].order() == 1
                 nontrivial = sum(1 for t in series.terms if t.order() > 1)
                 assert series.nilpotency_class == nontrivial
+
+
+class TestChainOracle:
+    """Every chain the incremental builder grows, re-verified from scratch."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("affine-unitriangular", {"p": 2, "k": 4, "m": 2}),
+            ("abelian-class2", {"p": 3, "k": 3, "m": 1, "a": 1}),
+            ("sylow-wreath", {"p": 2, "k": 4}),
+            ("wreath-polynomial", {"p": 2, "u": 1, "v": 2, "c": 2}),
+            ("dihedral-abelian", {"k": 4, "c": 3}),
+            (
+                "product",
+                {
+                    "factors": [
+                        {"kind": "sylow-wreath", "params": {"p": 3, "k": 2}},
+                        {"kind": "dihedral-abelian", "params": {"k": 2, "c": 1}},
+                    ]
+                },
+            ),
+        ],
+    )
+    def test_blueprint_chains(self, kind, params):
+        G = realize(make_blueprint(kind, params))
+        assert_chain_verified(G._levels(), G.generators)
+
+    @pytest.mark.parametrize(
+        "G", [iterated_wreath_sylow(2, 4), wreath_polynomial_group(2, 2, 2, 2)]
+    )
+    def test_series_terms_grown_one_generator_at_a_time(self, G):
+        for term in lower_central_series(G).terms[1:]:
+            assert_chain_verified(term._levels(), term.generators)
+            assert term.order() == PermGroup(term.degree, term.generators).order()
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(3, 0, 1, 2), (0, 3, 1, 2)],
+            [(4, 1, 3, 2, 0), (0, 3, 2, 1, 4)],
+            [(3, 0, 1, 2, 4, 5), (2, 1, 5, 3, 4, 0)],
+        ],
+    )
+    def test_non_nilpotent_chains(self, gens):
+        # each needs a level's own verification progress: one record shared
+        # by all the levels of a generator loses these groups' orders
+        G = PermGroup(len(gens[0]), [Permutation(g) for g in gens])
+        assert_chain_verified(G._levels(), G.generators)
+        assert G.order() == len(naive_closure(G.degree, G.generators))
+
+    def test_point_stabilizer_chains(self, corpus):
+        for name, G in corpus:
+            for point in range(G.degree):
+                # the chain point_stabilizer grows, with its base fixed at point
+                levels = _build_chain([_Level(point, G.identity)], G.degree, G.generators, {})
+                assert_chain_verified(levels, G.generators)
+                S = G.point_stabilizer(point)
+                assert_chain_verified(S._levels(), S.generators)
+                assert G.order() == len(G.orbit(point)) * S.order(), name
 
 
 class TestCenter:

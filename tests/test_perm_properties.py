@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nilbound.perm import PermGroup, Permutation, commutator
 
-from conftest import naive_closure
+from conftest import assert_chain_verified, naive_closure
 
 
 def permutations_of(degree: int):
@@ -88,3 +88,13 @@ def test_normal_closure_matches_naive_closure(G, data):
     assert G.normal_closure([seed]).order() == len(
         naive_closure(G.degree, conjugates, limit=1000)
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(), st.data())
+def test_chains_pass_the_independent_oracle(G, data):
+    assert_chain_verified(G._levels(), G.generators)
+    # a normal closure grows its chain one kept generator at a time
+    seeds = data.draw(st.lists(st.sampled_from(G.elements()), max_size=3))
+    N = G.normal_closure(seeds)
+    assert_chain_verified(N._levels(), N.generators + tuple(seeds))
