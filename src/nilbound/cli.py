@@ -124,8 +124,8 @@ def _load_group(value: str) -> PermGroup:
 def cmd_analyze(args: argparse.Namespace) -> int:
     group = _load_group(args.group)
     # the degrees construct realizes; an n-cycle takes ~4x as long per doubling of n
-    # (0.03 s at 256): its center has n elements, one per point of its chain's
-    # first level, and their normal closure sifts each of them
+    # (0.005 s at 256, 0.37 s at 2048): the first level of its chain holds n
+    # transversal elements of degree n, and the inverse of each
     if group.degree > DEGREE_GUARD:
         raise GuardExceeded(f"analyze of degree {group.degree} is over the limit {DEGREE_GUARD}")
     series = lower_central_series(group)

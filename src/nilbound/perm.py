@@ -5,9 +5,10 @@ of a point and ``a * b`` means "apply a, then b".  Group order and membership
 come from a deterministic base/strong-generating-set chain (no random
 Schreier-Sims).  A group builds its chain once, on first demand; a normal
 closure grows one private chain generator by generator and hands it to the
-group it returns.  Chains grow incrementally: transversals only gain points,
-and verification resumes where it stopped, so no Schreier generator is
-sifted twice.  A chain attached to a group is never mutated afterwards,
+group it returns, and a point stabilizer keeps the levels below the point of
+the chain grown for it.  Chains grow incrementally: transversals only gain
+points, and verification resumes where it stopped, so no Schreier generator
+is sifted twice.  A chain attached to a group is never mutated afterwards,
 so groups are safe to share across threads.  Products run in C, ``a * b``
 as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
 compares with the images of one cached identity per degree.
@@ -22,7 +23,7 @@ import json
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GroupError(Exception):
@@ -365,12 +366,15 @@ class PermGroup:
         return self.is_transitive() and self.order() == self._degree
 
     def point_stabilizer(self, point: int) -> PermGroup:
-        """The subgroup fixing point."""
+        """The subgroup fixing point: the levels below the first of a chain
+        based at point, kept as the subgroup's chain."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
         levels = [_Level(point, self.identity)]
         _build_chain(levels, self._degree, self._generators, {})
-        return PermGroup(self._degree, [g for level in levels[1:] for g in level.gens])
+        stabilizer = PermGroup(self._degree, [g for level in levels[1:] for g in level.gens])
+        stabilizer._chain = levels[1:]
+        return stabilizer
 
     def elements(self, limit: int = 1_000_000) -> list[Permutation]:
         """All group elements; raises GuardExceeded when order > limit."""
@@ -378,17 +382,10 @@ class PermGroup:
             raise GuardExceeded(
                 f"group of order {self.order()} exceeds element limit {limit}"
             )
-        levels = self._levels()
-
-        def products(i: int) -> Iterator[Permutation]:
-            if i == len(levels):
-                yield self.identity
-                return
-            for rest in products(i + 1):
-                for u in levels[i].transversal.values():
-                    yield rest * u
-
-        return list(products(0))
+        products = [self.identity]
+        for level in reversed(self._levels()):
+            products = [rest * u for rest in products for u in level.transversal.values()]
+        return products
 
     def normal_closure(self, seeds: Sequence[Permutation]) -> PermGroup:
         """Smallest normal subgroup of self containing the seeds.
@@ -494,7 +491,8 @@ def commutator_subgroup(G: PermGroup, A: PermGroup, B: PermGroup) -> PermGroup:
 def lower_central_series(G: PermGroup) -> CentralSeries:
     """Iterate term[i+1] = [term[i], G] until the series stabilizes.  Each
     term is normal in G, so [term, G] is the normal closure in G of the
-    generator commutators: it grows on G's chain, with no membership check."""
+    generator commutators.  normal_closure grows a fresh chain for each term
+    and sifts each generator it keeps into G."""
     terms = [G]
     while terms[-1].order() > 1:
         current = terms[-1]
@@ -516,8 +514,8 @@ def nilpotency_class(G: PermGroup) -> int:
 
 
 def _central_from_point_images(G: PermGroup) -> list[Permutation]:
-    """The nonidentity central elements of a transitive G, found without
-    listing G.
+    """The nonidentity central elements of a transitive nonabelian G, found
+    without listing G.
 
     Level 0 of G's chain has base point b and, G being transitive, holds a
     u_y with b^u_y = y for every point y.  A central z has z(y) = z(b)^u_y,
@@ -527,10 +525,7 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
     generator and lies in G.  Cost O(n^2 |gens|) plus one sift per survivor.
     """
     n = G.degree
-    levels = G._levels()
-    if not levels:  # degree 1
-        return []
-    level = levels[0]
+    level = G._levels()[0]
     # a level means degree >= 2, so each itemgetter gives a tuple:
     # s_times(z) and z_times(s) are the images of s * z and z * s
     gens = [(s.images, itemgetter(*s.images)) for s in G.generators]
@@ -554,10 +549,11 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
 def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
     """The subgroup of elements commuting with every generator.
 
-    A transitive G is handled from the first level of the chain its order
-    guard builds (one candidate per point, O(n^2 |gens|), no element list);
-    an intransitive G falls back to a scan of all its elements.  Either way
-    the group order must stay within limit.  The central elements are their
+    An abelian G is its own center.  Otherwise a transitive G is handled
+    from the first level of the chain its order guard builds (one candidate
+    per point, O(n^2 |gens|), no element list); an intransitive G falls back
+    to a scan of all its elements.  Either way the group order must stay
+    within limit, which is checked first.  The central elements are their
     own conjugates, so their normal closure keeps only those that enlarge
     the group: at most log_2 |Z| generators.
     """
@@ -565,6 +561,8 @@ def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
         raise GuardExceeded(
             f"too large for center scan: order {G.order()} is over the limit {limit}"
         )
+    if G.is_abelian():
+        return G
     if G.is_transitive():
         central = _central_from_point_images(G)
     else:

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from . import bounds
-from .constructions import iterated_wreath_sylow
+from .constructions import iterated_wreath_sylow, require_prime
 from .perm import GuardExceeded, PermGroup, Permutation, nilpotency_class
 
 DEFAULT_BUDGET = 500_000
@@ -257,6 +257,7 @@ def fnil_exact(
         raise ValueError("k and c_max must be positive")
     if c_max > CLASS_BOUND_LIMIT:
         raise GuardExceeded(f"search --cmax {c_max} is over the limit {CLASS_BOUND_LIMIT}")
+    require_prime(p)
     tower = iterated_wreath_sylow(p, k)
     tables = _Tables(tower)
 

@@ -112,6 +112,19 @@ def sym3() -> PermGroup:
     return PermGroup(3, [Permutation.from_cycles(3, (0, 1, 2)), Permutation.from_cycles(3, (0, 1))])
 
 
+def abelian_groups() -> list[tuple[str, PermGroup]]:
+    """Abelian groups, transitive and not: each is its own center."""
+    return [
+        ("C12", cyclic(12)),
+        ("V4", klein_four()),
+        ("affine(2,3,0)", affine_unitriangular(2, 3, 0)),
+        (
+            "C3xC2 on 5 points",
+            PermGroup(5, [Permutation.from_cycles(5, (0, 1, 2)), Permutation.from_cycles(5, (3, 4))]),
+        ),
+    ]
+
+
 def build_corpus() -> list[tuple[str, PermGroup]]:
     """Groups of order <= 10^4 exercising every construction family."""
     corpus: list[tuple[str, PermGroup]] = [

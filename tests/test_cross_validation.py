@@ -24,6 +24,8 @@ from nilbound.constructions import (
 from nilbound.perm import PermGroup, Permutation, center, lower_central_series
 from nilbound.search import enumerate_subgroups
 
+from conftest import abelian_groups
+
 
 def to_sympy(group):
     if not group.generators:
@@ -126,6 +128,11 @@ def test_center_generators_do_not_depend_on_the_base_point(p, k):
         assert center(off_0).generators == center(at_0).generators
         moved += 1
     assert moved
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in abelian_groups()])
+def test_abelian_centers_match(G):
+    assert_center_matches_sympy(G)
 
 
 def test_center_of_intransitive_group_matches():

@@ -1,5 +1,6 @@
 """Permutation and group engine tests against closure-based oracles."""
 
+import hashlib
 import itertools
 import json
 import time
@@ -8,6 +9,8 @@ import pytest
 
 from nilbound.cli import main
 from nilbound.constructions import (
+    affine_unitriangular,
+    dihedral_times_abelian,
     iterated_wreath_sylow,
     make_blueprint,
     product_action,
@@ -32,6 +35,7 @@ from nilbound.search import enumerate_subgroups
 
 from conftest import (
     NAIVE_CLOSURE_LIMIT,
+    abelian_groups,
     assert_chain_verified,
     cyclic,
     klein_four,
@@ -421,6 +425,7 @@ class TestChainOracle:
                 levels = _build_chain([_Level(point, G.identity)], G.degree, G.generators, {})
                 assert_chain_verified(levels, G.generators)
                 S = G.point_stabilizer(point)
+                assert S._chain is not None, (name, point)  # kept, not rebuilt
                 assert_chain_verified(S._levels(), S.generators)
                 assert G.order() == len(G.orbit(point)) * S.order(), name
 
@@ -429,6 +434,20 @@ class TestCenter:
     def test_abelian_center_is_whole_group(self):
         G = klein_four()
         assert center(G).order() == G.order()
+
+    @pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in abelian_groups()])
+    def test_abelian_group_is_its_own_center(self, G):
+        assert center(G) is G
+
+    def test_abelian_center_guard_comes_first(self):
+        # an abelian group past the limit is refused, not returned
+        transpositions = [Permutation.from_cycles(42, (2 * i, 2 * i + 1)) for i in range(21)]
+        G = PermGroup(42, transpositions)
+        assert G.is_abelian()
+        with pytest.raises(
+            GuardExceeded, match="too large for center scan: order 2097152 is over the limit 1000000$"
+        ):
+            center(G)
 
     def test_dihedral_center(self):
         assert center(iterated_wreath_sylow(2, 2)).order() == 2
@@ -518,6 +537,18 @@ class TestEngineInvariants:
                 continue
             via_chain = {g.images for g in G.elements()}
             assert via_chain == naive_closure(G.degree, G.generators), name
+
+    def test_elements_order_is_pinned(self, corpus):
+        # a rewrite of elements() must list each group's elements in this
+        # exact order; the stabilizer is left out, since its chain's base is
+        # chosen by the group it was taken from
+        groups = [G for name, G in corpus if not name.startswith("stab") and G.order() <= 1000]
+        groups += [affine_unitriangular(2, 4, 2), dihedral_times_abelian(5, 3)]
+        digest = hashlib.sha256()
+        for G in groups:
+            for g in G.elements():
+                digest.update(f"{g.images}\n".encode())
+        assert digest.hexdigest() == "72a1ecc33ac78ae2553a2c629fbd0f35ab5edde37f7be1d1cf89fe6f7c4c54a7"
 
     def test_abelian_transitive_implies_regular(self, corpus):
         for name, G in corpus:

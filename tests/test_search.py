@@ -181,6 +181,15 @@ class TestFnilExact:
             b = fnil_exact(p, k, 6, dedupe="conjugacy").exponents
             assert a == b, (p, k)
 
+    @pytest.mark.parametrize(
+        "p, k, c_max", [(4, 1, 2), (9, 1, 2), (8, 1, 3), (1, 3, 2), (0, 2, 2), (-2, 2, 2)]
+    )
+    def test_p_must_be_prime(self, p, k, c_max):
+        # without the check these gave rows for towers that are not p-groups,
+        # an IndexError or an AssertionError
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+            fnil_exact(p, k, c_max)
+
     def test_guard_refuses_degree_sixteen(self):
         with pytest.raises(GuardExceeded, match="exceeds exhaustive search guard"):
             fnil_exact(2, 4, 2)
