@@ -10,15 +10,19 @@ this way from a maximal subgroup.  As |K:H| = p is prime, every g in K - H
 gives the same K, so each overgroup K of H is built once, from its least g.
 
 The enumeration works over a multiplication table indexed by the sorted
-element list of the tower, which keeps subgroups as plain integer sets; the
-reported witnesses are re-analyzed through the permutation-group engine by
-audit_row, so the two arithmetic paths check each other.
+element list of the tower, which keeps subgroups as plain integer sets.
+Each subgroup K carries a list of at most log_p |K| generators, and the
+normality test, the conjugacy orbits and the nilpotency class run on those
+generators, not on every element.  The reported witnesses are re-analyzed
+through the permutation-group engine by audit_row, so the two arithmetic
+paths check each other.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterator
 
@@ -63,7 +67,7 @@ class _Tables:
             # a_times(b) is the image tuple of a * b; itemgetter of one index
             # gives a scalar, so degrees 0 and 1 (identity only) use tuple
             a_times = itemgetter(*a) if len(a) > 1 else tuple
-            mult.append([index[a_times(b)] for b in elements])
+            mult.append(list(map(index.__getitem__, map(a_times, elements))))
         self.elements = elements
         self.index = index
         self.mult = mult
@@ -72,46 +76,45 @@ class _Tables:
         self.degree = group.degree
         self.gen_indices = sorted(index[g.images] for g in group.generators)
 
-    def conjugate_set(self, subgroup: frozenset[int], g: int) -> frozenset[int]:
-        gi = self.inv[g]
+    def adjoin(self, subgroup: frozenset[int], gens: list[int], g: int) -> frozenset[int]:
+        """<subgroup, g> for subgroup = <gens>, grown Dimino-style as a union
+        of left cosets r*subgroup: s*r starts a new coset whenever it falls
+        outside the union for a coset representative r and a generator s."""
         mult = self.mult
-        return frozenset(mult[mult[gi][h]][g] for h in subgroup)
-
-    def closure(self, seed: set[int]) -> frozenset[int]:
-        """Subgroup generated by seed."""
-        mult = self.mult
-        closed = {self.identity} | seed
-        frontier = list(closed)
-        gens = list(seed)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = mult[x][g]
-                if y not in closed:
-                    closed.add(y)
-                    frontier.append(y)
-        return frozenset(closed)
+        grown = set(subgroup)
+        reps = [self.identity]
+        for r in reps:
+            for s in (*gens, g):
+                x = mult[s][r]
+                if x not in grown:
+                    grown.update(map(mult[x].__getitem__, subgroup))
+                    reps.append(x)
+        return frozenset(grown)
 
     def is_transitive(self, subgroup: frozenset[int]) -> bool:
         return len({self.elements[h][0] for h in subgroup}) == self.degree
 
-    def subgroup_class(self, subgroup: frozenset[int]) -> int:
-        """Nilpotency class via the descending commutator series, computed
-        from all element pairs (exact, no generator subtleties)."""
+    def subgroup_class(self, subgroup: frozenset[int], gens: list[int]) -> int:
+        """Nilpotency class of subgroup = <gens> via the lower central series,
+        computed on generators: each term [term, subgroup] is the normal
+        closure in subgroup of the commutators of the term's generators with
+        gens, grown by adjoin one generator at a time."""
         mult, inv = self.mult, self.inv
-        current = subgroup
+        term, term_gens = subgroup, gens
         cls = 0
-        while len(current) > 1:
-            comms = set()
-            for x in current:
-                xi = inv[x]
-                for h in subgroup:
-                    comms.add(mult[mult[mult[xi][inv[h]]][x]][h])
-            comms.discard(self.identity)
-            nxt = self.closure(comms)
-            if len(nxt) == len(current):
+        while len(term) > 1:
+            nxt: frozenset[int] = frozenset({self.identity})
+            nxt_gens: list[int] = []
+            pending = [mult[mult[inv[x]][inv[y]]][mult[x][y]] for x in term_gens for y in gens]
+            while pending:
+                z = pending.pop()
+                if z not in nxt:
+                    nxt = self.adjoin(nxt, nxt_gens, z)
+                    nxt_gens.append(z)
+                    pending.extend(mult[mult[inv[y]][z]][y] for y in gens)
+            if len(nxt) == len(term):
                 raise AssertionError("commutator series stalled in a p-group")
-            current = nxt
+            term, term_gens = nxt, nxt_gens
             cls += 1
         return cls
 
@@ -122,8 +125,8 @@ class _Tables:
         generated: frozenset[int] = frozenset({self.identity})
         for h in sorted(subgroup):
             if h not in generated:
+                generated = self.adjoin(generated, gens, h)
                 gens.append(h)
-                generated = self.closure(set(gens))
                 if len(generated) == len(subgroup):
                     break
         return gens
@@ -133,69 +136,83 @@ class _Tables:
         return PermGroup(self.degree, gens)
 
 
-def _iter_subgroup_sets(
-    tables: _Tables, p: int, dedupe: str, max_count: int | None
-) -> Iterator[frozenset[int]]:
-    """Yield subgroups of the table group as element-index sets, smallest
-    order first, deterministic.  In conjugacy mode one representative per
-    conjugacy class is yielded (the one with the least sorted element key)
-    and only representatives are extended, which is sound because
-    extensions of conjugate subgroups are conjugate.  Set mode is the same
-    loop with no conjugators, so every orbit is {K} and K is its own
-    representative.  Each overgroup K of H is built once, from the least g
-    in K - H.  max_count None means default_budget()."""
+def _stream_budget(dedupe: str, max_count: int | None) -> int:
+    """Check the subgroup stream's arguments; returns the budget, where
+    max_count None means default_budget()."""
     if dedupe not in ("set", "conjugacy"):
         raise ValueError(f"unknown dedupe mode {dedupe!r}")
     if max_count is None:
         max_count = default_budget()
     if max_count < 0:
         raise ValueError(f"max_count must be non-negative, got {max_count}")
-    conjugators = tables.gen_indices if dedupe == "conjugacy" else ()
-    identity, mult = tables.identity, tables.mult
-    # powers[g] = [1, g, ..., g^(p-1)], so H<g> is the union of the cosets H g^j
-    powers = [[identity] for _ in tables.elements]
-    for _ in range(p - 1):
-        for g, row in enumerate(powers):
-            row.append(mult[row[-1]][g])
+    return max_count
 
-    trivial = frozenset({identity})
+
+def _check_budget(visited: int, max_count: int) -> None:
+    if visited > max_count:
+        raise GuardExceeded(
+            f"search budget exceeded: visited {visited} subgroups, over the budget {max_count}"
+        )
+
+
+def _iter_subgroup_sets(
+    tables: _Tables, p: int, dedupe: str, max_count: int
+) -> Iterator[tuple[frozenset[int], list[int]]]:
+    """Yield subgroups K of the table group as element-index sets, each with
+    a list of at most log_p |K| generators, smallest order first,
+    deterministic.  In conjugacy mode one representative per conjugacy
+    class is yielded (the one with the least sorted element key) and only
+    representatives are extended, which is sound because extensions of
+    conjugate subgroups are conjugate.  Set mode is the same loop with no
+    conjugators, so every orbit is {K} and K is its own representative.
+    Each overgroup K of H is built once, from the least g in K - H, and
+    K = <H, g> keeps H's generators plus g; a conjugate keeps their
+    conjugates.  Normality is tested on H's generators and an orbit step
+    maps the element set through one conjugation row.  Every subgroup
+    visited, the trivial one included, counts against max_count."""
+    identity, mult, inv = tables.identity, tables.mult, tables.inv
+    n = len(mult)
+    pth = list(range(n))  # pth[g] = g^p
+    for _ in range(p - 1):
+        pth = [mult[x][g] for g, x in enumerate(pth)]
+    # conj[g][x] indexes g^-1 x g: row g^-1 of mult read along column g
+    conj = [list(map(mult[inv[g]].__getitem__, map(itemgetter(g), mult))) for g in range(n)]
+    conjugators = [conj[s] for s in tables.gen_indices] if dedupe == "conjugacy" else []
+
     yielded = 1
-    level = [trivial]
-    yield trivial
+    _check_budget(yielded, max_count)
+    level: list[tuple[frozenset[int], list[int]]] = [(frozenset({identity}), [])]
+    yield level[0]
 
     while level:
-        next_level: list[frozenset[int]] = []
+        next_level: list[tuple[frozenset[int], list[int]]] = []
         next_seen: set[frozenset[int]] = set()
-        for H in level:
+        for H, gens in level:
             covered = set(H)  # H and every overgroup already built from it
-            for g, row in enumerate(powers):
-                # <H, g> has order p*|H| when g^p is in H and g normalizes H
-                if g in covered or mult[row[-1]][g] not in H or tables.conjugate_set(H, g) != H:
+            # <H, g> has order p*|H| when g^p is in H and g normalizes H
+            for g in compress(range(n), map(H.__contains__, pth)):
+                if g in covered or not H.issuperset(map(conj[g].__getitem__, gens)):
                     continue
-                K = frozenset(mult[h][x] for h in H for x in row)
+                K = tables.adjoin(H, gens, g)
                 covered |= K
                 if K in next_seen:
                     continue
-                orbit = {K}
+                orbit = {K: [*gens, g]}
                 frontier = [K]
                 while frontier:
                     current = frontier.pop()
-                    for s in conjugators:
-                        conj = tables.conjugate_set(current, s)
-                        if conj not in orbit:
-                            orbit.add(conj)
-                            frontier.append(conj)
-                next_seen |= orbit
-                next_level.append(min(orbit, key=sorted))
+                    for row in conjugators:
+                        image = frozenset(map(row.__getitem__, current))
+                        if image not in orbit:
+                            orbit[image] = [row[x] for x in orbit[current]]
+                            frontier.append(image)
+                next_seen.update(orbit)
+                rep = min(orbit, key=sorted)
+                next_level.append((rep, orbit[rep]))
                 yielded += 1
-                if yielded > max_count:
-                    raise GuardExceeded(
-                        f"search budget exceeded: visited {yielded} subgroups, "
-                        f"over the budget {max_count}"
-                    )
-        next_level.sort(key=sorted)
-        for K in next_level:
-            yield K
+                _check_budget(yielded, max_count)
+        next_level.sort(key=lambda item: sorted(item[0]))
+        yield from next_level
         level = next_level
 
 
@@ -205,7 +222,8 @@ def enumerate_subgroups(
     max_count: int | None = None,
 ) -> Iterator[PermGroup]:
     """Stream every subgroup of the p-group S exactly once (set mode) or one
-    representative per S-conjugacy class (conjugacy mode)."""
+    representative per S-conjugacy class (conjugacy mode).  The arguments
+    and the order guard are checked at call time."""
     order = S.order()
     p, _ = bounds.prime_power(order) if order > 1 else (2, 0)
     max_order = 128 if p == 2 else 81 if p == 3 else p
@@ -213,9 +231,11 @@ def enumerate_subgroups(
         raise GuardExceeded(
             f"group order {order} exceeds subgroup enumeration guard {max_order}"
         )
+    max_count = _stream_budget(dedupe, max_count)
     tables = _Tables(S)
-    for subgroup in _iter_subgroup_sets(tables, p, dedupe, max_count):
-        yield tables.to_perm_group(subgroup)
+    return (
+        tables.to_perm_group(K) for K, _ in _iter_subgroup_sets(tables, p, dedupe, max_count)
+    )
 
 
 @dataclass(frozen=True)
@@ -258,6 +278,7 @@ def fnil_exact(
     if c_max > CLASS_BOUND_LIMIT:
         raise GuardExceeded(f"search --cmax {c_max} is over the limit {CLASS_BOUND_LIMIT}")
     require_prime(p)
+    max_count = _stream_budget(dedupe, max_count)
     tower = iterated_wreath_sylow(p, k)
     tables = _Tables(tower)
 
@@ -265,10 +286,10 @@ def fnil_exact(
     # ordered by level then canonical key, and subgroups of equal order share
     # a level, so keeping the first strict maximum is deterministic
     best: list[frozenset[int] | None] = [None] * c_max
-    for subgroup in _iter_subgroup_sets(tables, p, dedupe, max_count):
+    for subgroup, gens in _iter_subgroup_sets(tables, p, dedupe, max_count):
         if not tables.is_transitive(subgroup):
             continue
-        cls = tables.subgroup_class(subgroup)
+        cls = tables.subgroup_class(subgroup, gens)
         for c in range(cls, c_max + 1):
             if best[c - 1] is None or len(best[c - 1]) < len(subgroup):
                 best[c - 1] = subgroup

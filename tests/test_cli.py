@@ -340,6 +340,12 @@ class TestSearch:
         assert (code, out) == (EXIT_GUARD, "")
         assert err == "refused: search budget exceeded: visited 11 subgroups, over the budget 10\n"
 
+    def test_zero_budget_counts_the_trivial_subgroup(self, capsys):
+        # the trivial subgroup counts against the budget like every other
+        code, out, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "0")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err == "refused: search budget exceeded: visited 1 subgroups, over the budget 0\n"
+
     def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch):
         code, out, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "-5")
         assert (code, out, err) == (EXIT_USAGE, "", "error: --budget must be non-negative, got -5\n")

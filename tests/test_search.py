@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from nilbound import search
 from nilbound.bounds import class2_exponent, f_upper
 from nilbound.constructions import iterated_wreath_sylow, sylow_exponent
 from nilbound.perm import GuardExceeded, PermGroup, Permutation, nilpotency_class
@@ -89,6 +90,32 @@ class TestEnumerateSubgroups:
         with pytest.raises(ValueError, match="max_count must be non-negative, got -1"):
             fnil_exact(2, 2, 4, max_count=-1)
 
+    def test_zero_budget_yields_nothing(self):
+        stream = enumerate_subgroups(iterated_wreath_sylow(2, 3), max_count=0)
+        with pytest.raises(
+            GuardExceeded, match="^search budget exceeded: visited 1 subgroups, over the budget 0$"
+        ):
+            next(stream)
+        with pytest.raises(GuardExceeded, match="visited 1 subgroups, over the budget 0$"):
+            fnil_exact(2, 3, 8, max_count=0)
+
+    def test_arguments_are_checked_before_the_tables(self, monkeypatch):
+        def no_tables(group):
+            raise AssertionError("tables built before the arguments were checked")
+
+        monkeypatch.setattr(search, "_Tables", no_tables)
+        tower = iterated_wreath_sylow(2, 3)
+        with pytest.raises(ValueError, match="unknown dedupe mode 'bogus'"):
+            enumerate_subgroups(tower, "bogus")
+        with pytest.raises(ValueError, match="max_count must be non-negative, got -1"):
+            enumerate_subgroups(tower, max_count=-1)
+        with pytest.raises(GuardExceeded, match="exceeds subgroup enumeration guard 128"):
+            enumerate_subgroups(iterated_wreath_sylow(2, 4))
+        with pytest.raises(ValueError, match="unknown dedupe mode 'bogus'"):
+            fnil_exact(2, 3, 8, dedupe="bogus")
+        with pytest.raises(ValueError, match="max_count must be non-negative, got -1"):
+            fnil_exact(2, 3, 8, max_count=-1)
+
     def test_order_guard(self):
         with pytest.raises(GuardExceeded):
             list(enumerate_subgroups(iterated_wreath_sylow(2, 4)))
@@ -124,6 +151,35 @@ def test_tables_match_permutation_products(p, k):
         assert tables.elements[tables.inv[i]] == a.inverse().images
         for j, b in enumerate(perms):
             assert tables.elements[tables.mult[i][j]] == (a * b).images
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_carried_generators_and_class(p, k):
+    # oracles that do not use the tables' arithmetic: the naive closure of
+    # the generators as permutations, and the chain-based series of perm
+    tables = _Tables(iterated_wreath_sylow(p, k))
+    for mode, budget in zip(("set", "conjugacy"), STREAM_COUNTS[p, k]):
+        count = 0
+        for K, gens in search._iter_subgroup_sets(tables, p, mode, budget):
+            count += 1
+            assert p ** len(gens) <= len(K)
+            perms = [Permutation(tables.elements[g]) for g in gens]
+            assert naive_closure(tables.degree, perms) == {tables.elements[h] for h in K}
+            assert tables.subgroup_class(K, gens) == nilpotency_class(tables.to_perm_group(K))
+        assert count == budget
+
+
+def test_class_needs_the_normal_closure():
+    # <a, b> of order 32 and class 3 in the degree-16 tower, where <[a, b]>
+    # has order 2 but the commutator subgroup has order 4
+    a = Permutation((3, 2, 0, 1, 5, 4, 7, 6, 10, 11, 9, 8, 12, 13, 15, 14))
+    b = Permutation((11, 10, 9, 8, 13, 12, 14, 15, 1, 0, 3, 2, 4, 5, 7, 6))
+    G = PermGroup(16, [a, b])
+    tables = _Tables(G)
+    whole = frozenset(range(len(tables.elements)))
+    gens = [tables.index[a.images], tables.index[b.images]]
+    assert (G.order(), nilpotency_class(G)) == (32, 3)
+    assert tables.subgroup_class(whole, gens) == 3
 
 
 class TestDegreeFourCompleteness:
