@@ -282,8 +282,3 @@ def bound_report(p: int, k: int, c: int) -> BoundReport:
         binomial_lower=binomial_lower(k, c) if k % c == 0 else None,
         witness=best_composition(k, c),
     )
-
-
-def fraction_json(x: Fraction) -> dict:
-    """Serialize an exact rational as {"num": ..., "den": ...}."""
-    return {"num": x.numerator, "den": x.denominator}

@@ -79,7 +79,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     data = _read_json_arg(args.blueprint)
     try:
         blueprint = blueprint_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise _UsageError(f"invalid blueprint: missing key {exc}")
+    except (TypeError, ValueError) as exc:
         raise _UsageError(f"invalid blueprint: {exc}")
     output = {"blueprint": blueprint.to_json(), "prediction": blueprint.prediction_json()}
     try:
@@ -117,7 +119,9 @@ def _load_group(value: str) -> PermGroup:
     data = _read_json_arg(value)
     try:
         return PermGroup.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise _UsageError(f"invalid group: missing key {exc}")
+    except (TypeError, ValueError) as exc:
         raise _UsageError(f"invalid group: {exc}")
 
 

@@ -517,45 +517,34 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
     """The nonidentity central elements of a transitive nonabelian G, found
     without listing G.
 
-    Level 0 of G's chain has base point b and, G being transitive, holds a
-    u_y with b^u_y = y for every point y.  A central z has z(y) = z(b)^u_y,
-    so the transversal gives one candidate per t = z(b) != b, taken in the
-    order of z(0) so that the center's generators do not depend on b.  A
-    candidate is central exactly when it is a bijection, commutes with every
-    generator and lies in G.  Cost O(n^2 |gens|) plus one sift per survivor.
+    Level 0 of G's chain has base point b and, G being transitive, a u_y
+    with b^u_y = y for every point y; the deeper levels generate G_b.  A
+    central z is z_t: y -> t^u_y for t = b^z, and t is fixed by G_b, which
+    commutes with z.  Conversely, for t fixed by G_b, z_t is well defined
+    (if b^g = b^g', then g'g^-1 in G_b fixes t), commutes with G
+    (z_t(b^g)^h = t^(gh)) and is injective (G_t = G_b, as G_b <= G_t and
+    the two have equal order), so membership in G is the only test.  The
+    order of z_t(0) keeps the center's generators independent of b.
     """
-    n = G.degree
-    level = G._levels()[0]
-    # a level means degree >= 2, so each itemgetter gives a tuple:
-    # s_times(z) and z_times(s) are the images of s * z and z * s
-    gens = [(s.images, itemgetter(*s.images)) for s in G.generators]
-    u = [level.transversal[y].images for y in range(n)]
-    central = []
-    for t in level.inverses[0].images:  # t = z(b) for z(0) = 0, 1, ..., n-1
-        if t == level.point:
-            continue
-        z = [u_y[t] for u_y in u]
-        if len(set(z)) != n:
-            continue
-        z_times = itemgetter(*z)
-        if any(s_times(z) != z_times(s) for s, s_times in gens):
-            continue
-        candidate = _raw(tuple(z))
-        if candidate in G:
-            central.append(candidate)
-    return central
+    levels = G._levels()
+    b = levels[0].point
+    stabilizer_gens = [s.images for level in levels[1:] for s in level.gens]
+    fixed = [t for t in range(G.degree) if t != b and all(s[t] == t for s in stabilizer_gens)]
+    u = [levels[0].transversal[y].images for y in range(G.degree)]
+    candidates = (_raw(tuple(u_y[t] for u_y in u)) for t in sorted(fixed, key=u[0].__getitem__))
+    return [z for z in candidates if z in G]
 
 
 def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
     """The subgroup of elements commuting with every generator.
 
     An abelian G is its own center.  Otherwise a transitive G is handled
-    from the first level of the chain its order guard builds (one candidate
-    per point, O(n^2 |gens|), no element list); an intransitive G falls back
-    to a scan of all its elements.  Either way the group order must stay
-    within limit, which is checked first.  The central elements are their
-    own conjugates, so their normal closure keeps only those that enlarge
-    the group: at most log_2 |Z| generators.
+    from the chain its order guard builds, one candidate per point fixed by
+    the stabilizer of the first base point and no element list; an
+    intransitive G falls back to a scan of all its elements.  Either way
+    the group order must stay within limit, which is checked first.  The
+    central elements are their own conjugates, so their normal closure
+    keeps only those that enlarge the group: at most log_2 |Z| generators.
     """
     if G.order() > limit:
         raise GuardExceeded(

@@ -21,7 +21,6 @@ from nilbound.bounds import (
     f_closed,
     f_upper,
     f_upper_dp,
-    fraction_json,
     monomial_count,
     prime_power,
 )
@@ -173,9 +172,6 @@ class TestAsymptotics:
         k = 300
         assert abs(f_upper(k, 3) * 27 / (4 * k**3) - 1) <= 0.05
         assert abs(f_upper(k, 2) * 4 / k**2 - 1) <= 0.05
-
-    def test_fraction_json(self):
-        assert fraction_json(Fraction(4, 27)) == {"num": 4, "den": 27}
 
 
 class TestMonomialCount:

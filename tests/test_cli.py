@@ -228,9 +228,16 @@ class TestConstruct:
             ('{"kind":"affine-unitriangular","params":{"p":4,"k":2,"m":1}}', "p must be prime, got 4"),
             ('{"kind":"abelian-class2","params":{"p":6,"k":2,"m":1,"a":0}}', "p must be prime, got 6"),
             ('{"kind":"wreath-polynomial","params":{"p":9,"u":1,"v":1,"c":2}}', "p must be prime, got 9"),
+            ('{"kind":"sylow-wreath","params":{"p":2}}', "missing key 'k'"),
+            ('{"params":{}}', "missing key 'kind'"),
+            ('{"kind":"sylow-wreath"}', "missing key 'params'"),
+            ('{"kind":"product","params":{}}', "missing key 'factors'"),
+            ('{"kind":"product","params":{"factors":[{"kind":"sylow-wreath","params":{"p":2,"k":1}},'
+             '{"kind":"sylow-wreath","params":{"k":1}}]}}', "missing key 'p'"),
         ],
         ids=["float-k", "bool-p", "sylow-wreath-p4", "affine-p4", "abelian-class2-p6",
-             "wreath-polynomial-p9"],
+             "wreath-polynomial-p9", "missing-k", "missing-kind", "missing-params", "missing-factors",
+             "missing-p-in-factor"],
     )
     def test_non_integer_or_non_prime_params_are_invalid_blueprints(self, capsys, blueprint, message):
         code, out, err = run(capsys, "construct", "--blueprint", blueprint)
@@ -293,10 +300,17 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "generators[1]" in err
 
-    def test_rejects_bool_degree(self, capsys):
-        code, out, err = run(capsys, "analyze", "--group", '{"degree":true,"generators":[]}')
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: invalid group: degree must be a positive integer\n"
+    @pytest.mark.parametrize(
+        "group,message",
+        [
+            ('{"degree":true,"generators":[]}', "degree must be a positive integer"),
+            ('{"generators":[]}', "missing key 'degree'"),
+        ],
+        ids=["bool-degree", "missing-degree"],
+    )
+    def test_invalid_group_is_a_usage_error(self, capsys, group, message):
+        code, out, err = run(capsys, "analyze", "--group", group)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: invalid group: {message}\n")
 
     @pytest.mark.parametrize("degree,code", [(256, EXIT_OK), (257, EXIT_GUARD), (10**9, EXIT_GUARD)])
     def test_degree_limit(self, capsys, degree, code):

@@ -29,6 +29,7 @@ from nilbound.perm import (
     lower_central_series,
     nilpotency_class,
     _build_chain,
+    _central_from_point_images,
     _Level,
 )
 from nilbound.search import enumerate_subgroups
@@ -37,6 +38,7 @@ from conftest import (
     NAIVE_CLOSURE_LIMIT,
     abelian_groups,
     assert_chain_verified,
+    build_corpus,
     cyclic,
     klein_four,
     naive_closure,
@@ -481,6 +483,29 @@ class TestCenter:
         for z in Z.generators:
             assert z in G
             assert all(z * g == g * z for g in G.generators)
+
+    @pytest.mark.parametrize("source", ["corpus", (2, 3), (3, 2)], ids=["corpus", "tower(2,3)", "tower(3,2)"])
+    def test_candidates_are_the_central_elements(self, source):
+        # oracle: scan every element for those commuting with each generator;
+        # the candidates must be exactly these, in the order of z(0)
+        if source == "corpus":
+            groups = [G for _, G in build_corpus()]
+        else:
+            groups = list(enumerate_subgroups(iterated_wreath_sylow(*source), dedupe="set"))
+        checked = 0
+        for G in groups:
+            if not G.is_transitive() or G.is_abelian():
+                continue
+            scan = [
+                z
+                for z in G.elements()
+                if not z.is_identity() and all(z * g == g * z for g in G.generators)
+            ]
+            candidates = _central_from_point_images(G)
+            assert candidates == sorted(scan, key=lambda z: z.images[0]), G.generators
+            assert len(candidates) == center(G).order() - 1
+            checked += 1
+        assert checked > 0
 
     def test_center_elements_commute_with_everything(self, corpus):
         for _, G in corpus:
