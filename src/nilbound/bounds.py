@@ -24,28 +24,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .perm import GuardExceeded
-
-
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of non-negative integers with their sum."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a < 0 for a in self.parts):
-            raise ValueError("parts must be non-negative")
-
-    @property
-    def k(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
 
 
 def _geometric_sum(s: int, length: int) -> int:
@@ -57,9 +38,10 @@ def _geometric_sum(s: int, length: int) -> int:
     return (s**length - 1) // (s - 1)
 
 
-def composition_value(a: Composition | tuple[int, ...]) -> int:
-    """The composition score T(a)."""
-    parts = a.parts if isinstance(a, Composition) else tuple(a)
+def composition_value(parts: Sequence[int]) -> int:
+    """The composition score T(a) of a sequence of non-negative parts."""
+    if any(part < 0 for part in parts):
+        raise ValueError("parts must be non-negative")
     total = 0
     prefix = 0
     for i, part in enumerate(parts, start=1):
@@ -114,9 +96,9 @@ def f_upper(k: int, c: int) -> int:
 f_upper_dp = f_upper
 
 
-def best_composition(k: int, c: int) -> Composition:
+def best_composition(k: int, c: int) -> tuple[int, ...]:
     """The lexicographically least composition achieving f_upper(k, c)."""
-    return Composition(_maximize(k, c)[1])
+    return _maximize(k, c)[1]
 
 
 _TABLE1 = {
@@ -249,7 +231,7 @@ class BoundReport:
     elementary: int
     class2_exact: int | None
     binomial_lower: int | None
-    witness: Composition
+    witness: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -260,7 +242,7 @@ class BoundReport:
             "elementary": self.elementary,
             "class2_exact": self.class2_exact,
             "binomial_lower": self.binomial_lower,
-            "witness_composition": list(self.witness.parts),
+            "witness_composition": list(self.witness),
             "provenance": {
                 "f_upper": "composition maximum",
                 "elementary": "point-stabilizer intersection bound",

@@ -38,10 +38,10 @@ def _emit_json(data: dict) -> None:
 
 
 def _read_json_arg(value: str) -> dict:
-    """Parse an inline JSON string, a path, or '-' for stdin."""
+    """Parse an inline JSON object or array, a path, or '-' for stdin."""
     if value == "-":
         text = sys.stdin.read()
-    elif value.lstrip().startswith("{"):
+    elif value.lstrip().startswith(("{", "[")):
         text = value
     else:
         try:
@@ -66,7 +66,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"degree {args.p}^{args.k}, nilpotency class <= {args.c}")
     print(f"  composition upper bound : log_p order <= {report.f_upper}")
-    print(f"    witness composition   : {list(report.witness.parts)}")
+    print(f"    witness composition   : {list(report.witness)}")
     print(f"  elementary upper bound  : log_p order <= {report.elementary}")
     if report.class2_exact is not None:
         print(f"  exact value at class 2  : log_p order  = {report.class2_exact}")

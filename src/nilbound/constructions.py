@@ -307,6 +307,10 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
     Raises ValueError for an unknown kind or a bad param, GuardExceeded for a
     predicted degree or order past SCORE_DIGIT_LIMIT digits.
     """
+    if not isinstance(kind, str):
+        raise ValueError("kind must be a string")
+    if not isinstance(params, dict):
+        raise ValueError("params must be an object")
     if kind == "product":
         return _product_blueprint(params)
     if kind not in _KINDS:
@@ -331,10 +335,10 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
 
 
 def _product_blueprint(params: dict) -> GroupBlueprint:
-    factors = [
-        f if isinstance(f, GroupBlueprint) else blueprint_from_json(f)
-        for f in params["factors"]
-    ]
+    factors = params["factors"]
+    if not isinstance(factors, list):
+        raise ValueError("factors must be a list")
+    factors = [f if isinstance(f, GroupBlueprint) else blueprint_from_json(f) for f in factors]
     if len(factors) != 2:
         raise ValueError("product takes exactly two factors")
     left, right = factors
@@ -351,6 +355,8 @@ def _product_blueprint(params: dict) -> GroupBlueprint:
 
 
 def blueprint_from_json(data: dict) -> GroupBlueprint:
+    if not isinstance(data, dict):
+        raise ValueError("blueprint must be an object")
     return make_blueprint(data["kind"], data["params"])
 
 

@@ -11,7 +11,8 @@ points, and verification resumes where it stopped, so no Schreier generator
 is sifted twice.  A chain attached to a group is never mutated afterwards,
 so groups are safe to share across threads.  Products run in C, ``a * b``
 as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
-compares with the images of one cached identity per degree.
+compares with the images of one cached identity per degree.  Past order
+``ELEMENT_LIMIT``, a group's element list and its center are refused.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import threading
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+ELEMENT_LIMIT = 1_000_000  # the largest order whose elements or center are computed
 
 
 class GroupError(Exception):
@@ -376,12 +379,10 @@ class PermGroup:
         stabilizer._chain = levels[1:]
         return stabilizer
 
-    def elements(self, limit: int = 1_000_000) -> list[Permutation]:
-        """All group elements; raises GuardExceeded when order > limit."""
-        if self.order() > limit:
-            raise GuardExceeded(
-                f"group of order {self.order()} exceeds element limit {limit}"
-            )
+    def elements(self) -> list[Permutation]:
+        """All group elements; raises GuardExceeded when order > ELEMENT_LIMIT."""
+        if self.order() > ELEMENT_LIMIT:
+            raise GuardExceeded(f"group of order {self.order()} exceeds element limit {ELEMENT_LIMIT}")
         products = [self.identity]
         for level in reversed(self._levels()):
             products = [rest * u for rest in products for u in level.transversal.values()]
@@ -430,10 +431,13 @@ class PermGroup:
         degree = data["degree"]
         if type(degree) is not int or degree < 1:  # bool is not a degree
             raise ValueError("degree must be a positive integer")
+        generators = data.get("generators", [])
+        if not isinstance(generators, list):
+            raise ValueError("generators must be a list")
         gens = []
-        for i, images in enumerate(data.get("generators", [])):
-            if len(images) != degree:
-                raise ValueError(f"generators[{i}]: degree mismatch")
+        for i, images in enumerate(generators):
+            if not isinstance(images, list) or len(images) != degree:
+                raise ValueError(f"generators[{i}] must be a list of {degree} points")
             try:
                 gens.append(Permutation(images))
             except ValueError as exc:
@@ -472,20 +476,6 @@ def _commutators(A: PermGroup, B: PermGroup) -> list[Permutation]:
     b_pairs = [(b.inverse(), b) for b in B.generators]
     seeds = (ai * bi * a * b for ai, a in a_pairs for bi, b in b_pairs)
     return [s for s in seeds if not s.is_identity()]
-
-
-def commutator_subgroup(G: PermGroup, A: PermGroup, B: PermGroup) -> PermGroup:
-    """The subgroup generated by all commutators [a, b] with a in A, b in B.
-
-    A and B must lie in G.  Computed as the normal closure, inside <A, B>, of
-    the commutators of generator pairs, which is [A, B] for any A and B.
-    """
-    if not G.contains_group(A):
-        raise GroupError("A is not a subgroup of G")
-    if not G.contains_group(B):
-        raise GroupError("B is not a subgroup of G")
-    joint = PermGroup(G.degree, A.generators + B.generators)
-    return joint.normal_closure(_commutators(A, B))
 
 
 def lower_central_series(G: PermGroup) -> CentralSeries:
@@ -535,20 +525,20 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
     return [z for z in candidates if z in G]
 
 
-def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
+def center(G: PermGroup) -> PermGroup:
     """The subgroup of elements commuting with every generator.
 
     An abelian G is its own center.  Otherwise a transitive G is handled
     from the chain its order guard builds, one candidate per point fixed by
     the stabilizer of the first base point and no element list; an
     intransitive G falls back to a scan of all its elements.  Either way
-    the group order must stay within limit, which is checked first.  The
+    its order must stay within ELEMENT_LIMIT, which is checked first.  The
     central elements are their own conjugates, so their normal closure
     keeps only those that enlarge the group: at most log_2 |Z| generators.
     """
-    if G.order() > limit:
+    if G.order() > ELEMENT_LIMIT:
         raise GuardExceeded(
-            f"too large for center scan: order {G.order()} is over the limit {limit}"
+            f"too large for center scan: order {G.order()} is over the limit {ELEMENT_LIMIT}"
         )
     if G.is_abelian():
         return G
@@ -557,7 +547,7 @@ def center(G: PermGroup, limit: int = 1_000_000) -> PermGroup:
     else:
         central = [
             z
-            for z in G.elements(limit)
+            for z in G.elements()
             if not z.is_identity() and all(z * g == g * z for g in G.generators)
         ]
     return G.normal_closure(central)

@@ -15,12 +15,12 @@ Each subgroup K carries a list of at most log_p |K| generators, and the
 normality test, the conjugacy orbits and the nilpotency class run on those
 generators, not on every element.  The reported witnesses are re-analyzed
 through the permutation-group engine by audit_row, so the two arithmetic
-paths check each other.
+paths check each other.  A stream visits at most max_count subgroups, or
+DEFAULT_BUDGET of them when the caller passes none.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -31,26 +31,12 @@ from .constructions import iterated_wreath_sylow, require_prime
 from .perm import GuardExceeded, PermGroup, Permutation, nilpotency_class
 
 DEFAULT_BUDGET = 500_000
-BUDGET_ENV_VAR = "NILBOUND_BUDGET"
 
 # exhaustive mode is limited to these degrees; the next tower (degree 16,
 # order 2^15) is far past desk scale for full subgroup enumeration
 EXHAUSTIVE_DEGREE_GUARD = 9
 # a row holds one exponent per class bound; 1000 of them take ~0.2 s
 CLASS_BOUND_LIMIT = 1000
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
-    if budget < 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be non-negative, got {budget}")
-    return budget
 
 
 class _Tables:
@@ -138,11 +124,13 @@ class _Tables:
 
 def _stream_budget(dedupe: str, max_count: int | None) -> int:
     """Check the subgroup stream's arguments; returns the budget, where
-    max_count None means default_budget()."""
+    max_count None means DEFAULT_BUDGET."""
     if dedupe not in ("set", "conjugacy"):
         raise ValueError(f"unknown dedupe mode {dedupe!r}")
     if max_count is None:
-        max_count = default_budget()
+        return DEFAULT_BUDGET
+    if type(max_count) is not int:  # bool is not a budget
+        raise ValueError(f"max_count must be an integer, got {max_count!r}")
     if max_count < 0:
         raise ValueError(f"max_count must be non-negative, got {max_count}")
     return max_count

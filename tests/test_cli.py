@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nilbound import search
 from nilbound.cli import (
     EXIT_GUARD,
     EXIT_INVARIANT,
@@ -234,10 +235,16 @@ class TestConstruct:
             ('{"kind":"product","params":{}}', "missing key 'factors'"),
             ('{"kind":"product","params":{"factors":[{"kind":"sylow-wreath","params":{"p":2,"k":1}},'
              '{"kind":"sylow-wreath","params":{"k":1}}]}}', "missing key 'p'"),
+            ('{"kind":"sylow-wreath","params":5}', "params must be an object"),
+            ('{"kind":"sylow-wreath","params":[1]}', "params must be an object"),
+            ('{"kind":["x"],"params":{}}', "kind must be a string"),
+            ('{"kind":"product","params":{"factors":5}}', "factors must be a list"),
+            ('{"kind":"product","params":{"factors":[1,2]}}', "blueprint must be an object"),
         ],
         ids=["float-k", "bool-p", "sylow-wreath-p4", "affine-p4", "abelian-class2-p6",
              "wreath-polynomial-p9", "missing-k", "missing-kind", "missing-params", "missing-factors",
-             "missing-p-in-factor"],
+             "missing-p-in-factor", "int-params", "list-params", "list-kind", "int-factors",
+             "int-factor"],
     )
     def test_non_integer_or_non_prime_params_are_invalid_blueprints(self, capsys, blueprint, message):
         code, out, err = run(capsys, "construct", "--blueprint", blueprint)
@@ -305,12 +312,23 @@ class TestAnalyze:
         [
             ('{"degree":true,"generators":[]}', "degree must be a positive integer"),
             ('{"generators":[]}', "missing key 'degree'"),
+            ('{"degree":2,"generators":5}', "generators must be a list"),
+            ('{"degree":2,"generators":[5]}', "generators[0] must be a list of 2 points"),
+            ('{"degree":2,"generators":null}', "generators must be a list"),
+            ('{"degree":2,"generators":"ab"}', "generators must be a list"),
         ],
-        ids=["bool-degree", "missing-degree"],
+        ids=["bool-degree", "missing-degree", "int-generators", "int-generator", "null-generators",
+             "string-generators"],
     )
     def test_invalid_group_is_a_usage_error(self, capsys, group, message):
         code, out, err = run(capsys, "analyze", "--group", group)
         assert (code, out, err) == (EXIT_USAGE, "", f"error: invalid group: {message}\n")
+
+    @pytest.mark.parametrize("group", ["[]", " [1, 2]"])
+    def test_inline_array_is_parsed_not_opened(self, capsys, group):
+        # an array is read as inline JSON, not as a file path
+        code, out, err = run(capsys, "analyze", "--group", group)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: expected a JSON object\n")
 
     @pytest.mark.parametrize("degree,code", [(256, EXIT_OK), (257, EXIT_GUARD), (10**9, EXIT_GUARD)])
     def test_degree_limit(self, capsys, degree, code):
@@ -360,12 +378,9 @@ class TestSearch:
         assert (code, out) == (EXIT_GUARD, "")
         assert err == "refused: search budget exceeded: visited 1 subgroups, over the budget 0\n"
 
-    def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch):
+    def test_negative_budget_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "-5")
         assert (code, out, err) == (EXIT_USAGE, "", "error: --budget must be non-negative, got -5\n")
-        monkeypatch.setenv("NILBOUND_BUDGET", "-5")
-        code, out, err = run(capsys, "search", "--p", "2", "--k", "3")
-        assert (code, out, err) == (EXIT_USAGE, "", "error: NILBOUND_BUDGET must be non-negative, got -5\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -423,7 +438,7 @@ class TestTable:
 
     def test_table2_refusal_leaves_stdout_empty(self, capsys, monkeypatch):
         # the budget admits rows 1 and 2 but not row 3
-        monkeypatch.setenv("NILBOUND_BUDGET", "50")
+        monkeypatch.setattr(search, "DEFAULT_BUDGET", 50)
         code, out, err = run(capsys, "table", "--table2")
         assert (code, out) == (EXIT_GUARD, "")
         assert err.startswith("refused: search budget exceeded: visited 51 subgroups")

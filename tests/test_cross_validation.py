@@ -13,6 +13,7 @@ sympy_comb = pytest.importorskip("sympy.combinatorics")
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
+from nilbound import perm
 from nilbound.constructions import (
     _KINDS,
     affine_unitriangular,
@@ -63,9 +64,9 @@ def test_centers_match():
         assert center(G).order() == to_sympy(G).center().order()
 
 
-def assert_center_matches_sympy(G, limit=1_000_000):
+def assert_center_matches_sympy(G):
     """Same order and ours inside sympy's, so the two centers are equal."""
-    ours = center(G, limit=limit)
+    ours = center(G)
     theirs = to_sympy(G).center()
     assert ours.order() == theirs.order()
     assert all(theirs.contains(SymPerm(list(z.images))) for z in ours.generators)
@@ -149,10 +150,11 @@ def test_center_of_intransitive_group_matches():
     assert_center_matches_sympy(G)
 
 
-def test_center_past_the_default_limit_matches():
+def test_center_past_the_default_limit_matches(monkeypatch):
     G = wreath_polynomial_group(2, 3, 3, 3)
     assert G.order() == 2**24
-    assert_center_matches_sympy(G, limit=2**30)
+    monkeypatch.setattr(perm, "ELEMENT_LIMIT", 2**30)
+    assert_center_matches_sympy(G)
 
 
 def test_series_profiles_match():

@@ -1,12 +1,12 @@
 """Permutation and group engine tests against closure-based oracles."""
 
 import hashlib
-import itertools
 import json
 import time
 
 import pytest
 
+from nilbound import perm
 from nilbound.cli import main
 from nilbound.constructions import (
     affine_unitriangular,
@@ -25,7 +25,6 @@ from nilbound.perm import (
     Permutation,
     center,
     commutator,
-    commutator_subgroup,
     lower_central_series,
     nilpotency_class,
     _build_chain,
@@ -261,53 +260,6 @@ class TestNormalClosureAndCommutators:
         assert G._levels() is chain
         assert [(lv.point, lv.gens, lv.transversal) for lv in chain] == snapshot
 
-    def test_commutator_trivial_cases(self):
-        G = iterated_wreath_sylow(2, 2)
-        triv = PermGroup(4)
-        assert commutator_subgroup(G, triv, G).order() == 1
-        A = cyclic(4)
-        assert commutator_subgroup(A, A, A).order() == 1
-
-    def test_commutator_membership_precondition(self):
-        G = cyclic(4)
-        H = PermGroup(4, [Permutation.from_cycles(4, (0, 1))])
-        with pytest.raises(GroupError):
-            commutator_subgroup(G, H, G)
-
-    def test_dihedral_derived_subgroup_brute_force(self):
-        # oracle: commutators of all element pairs of the order-8 group
-        G = iterated_wreath_sylow(2, 2)
-        elements = [Permutation(i) for i in naive_closure(4, G.generators)]
-        pair_comms = {commutator(a, b).images for a in elements for b in elements}
-        oracle = naive_closure(4, [Permutation(i) for i in pair_comms])
-        derived = commutator_subgroup(G, G, G)
-        assert derived.order() == len(oracle) == 2
-        for images in oracle:
-            assert Permutation(images) in derived
-
-    def test_incomparable_subgroups_brute_force(self):
-        # neither subgroup contains the other, so the closure is taken in
-        # <A, B>; the oracle closes the commutators of all element pairs
-        T = iterated_wreath_sylow(2, 3)
-        subgroups = [H for H in enumerate_subgroups(T, dedupe="conjugacy") if H.is_transitive()]
-        elements = {  # (g, g^-1) as image tuples
-            H: [(g, tuple(sorted(range(8), key=g.__getitem__))) for g in naive_closure(8, H.generators)]
-            for H in subgroups
-        }
-        pairs = 0
-        for A, B in itertools.combinations(subgroups, 2):
-            if A.contains_group(B) or B.contains_group(A):
-                continue
-            pairs += 1
-            # [a, b] = a^-1 b^-1 a b, applied left to right
-            comms = {tuple(b[a[bi[ai[x]]]] for x in range(8))
-                     for a, ai in elements[A] for b, bi in elements[B]}
-            oracle = naive_closure(8, [Permutation(c) for c in comms])
-            C = commutator_subgroup(T, A, B)
-            assert C.order() == len(oracle)
-            assert all(Permutation(c) in C for c in oracle)
-        assert pairs == 450
-
 
 class TestCentralSeries:
     def test_abelian_series(self):
@@ -326,15 +278,31 @@ class TestCentralSeries:
         assert series.nilpotency_class == 4
 
     def test_terms_match_commutator_subgroup(self, corpus):
-        # the series closes in G and commutator_subgroup in <term, G>: two paths
+        # oracle: [term, G] closed from the commutators of all element pairs
+        # x in term, y in G, with no chain; past the last term the series is
+        # fixed: [1, G] = 1, and a stalled term is its own [term, G]
+        oracle_orders = {}
         for name, G in corpus:
-            terms = lower_central_series(G).terms
-            # past the last term the series is fixed: [1, G] = 1, and a
-            # stalled term is its own [term, G]
-            for current, nxt in zip(terms, terms[1:] + terms[-1:]):
-                C = commutator_subgroup(G, current, G)
-                assert C.order() == nxt.order(), name
-                assert C.contains_group(nxt) and nxt.contains_group(C), name
+            if G.order() > 128:
+                continue
+            n = G.degree
+            terms = lower_central_series(G).terms  # terms[0] is G
+            elements = [  # (g, g^-1) as image tuples
+                [(g, tuple(sorted(range(n), key=g.__getitem__))) for g in naive_closure(n, T.generators)]
+                for T in terms
+            ]
+            orders = oracle_orders[name] = []
+            for current, nxt in zip(elements, terms[1:] + terms[-1:]):
+                # [x, y] = x^-1 y^-1 x y, applied left to right
+                comms = {tuple(y[x[yi[xi[p]]]] for p in range(n))
+                         for x, xi in current for y, yi in elements[0]}
+                oracle = naive_closure(n, [Permutation(c) for c in comms])
+                assert nxt.order() == len(oracle), name
+                assert all(Permutation(c) in nxt for c in oracle), name
+                orders.append(len(oracle))
+        # the dihedral group of order 8 has a derived subgroup of order 2
+        assert oracle_orders["D4"] == [2, 1, 1]
+        assert len(oracle_orders) == 26
 
     def test_not_nilpotent_marker(self):
         series = lower_central_series(sym3())
@@ -463,21 +431,23 @@ class TestCenter:
         assert Z.order() == g2.order() == 2
         assert Z.contains_group(g2) and g2.contains_group(Z)
 
-    def test_center_guard(self):
+    def test_center_guard(self, monkeypatch):
         big = iterated_wreath_sylow(2, 3)
+        monkeypatch.setattr(perm, "ELEMENT_LIMIT", 100)
         with pytest.raises(
             GuardExceeded, match="too large for center scan: order 128 is over the limit 100$"
         ):
-            center(big, limit=100)
+            center(big)
 
-    def test_transitive_center_needs_no_element_list(self):
+    def test_transitive_center_needs_no_element_list(self, monkeypatch):
         # order 2^24: the one-point method never lists G
         from nilbound.constructions import wreath_polynomial_group
 
         G = wreath_polynomial_group(2, 3, 3, 3)
         assert G.is_transitive() and G.order() == 2**24
+        monkeypatch.setattr(perm, "ELEMENT_LIMIT", 2**30)
         start = time.perf_counter()
-        Z = center(G, limit=2**30)
+        Z = center(G)
         assert time.perf_counter() - start < 5
         assert Z.order() > 1
         for z in Z.generators:

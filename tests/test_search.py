@@ -15,7 +15,6 @@ from nilbound.search import (
     TABLE2_REFERENCE,
     _Tables,
     audit_row,
-    default_budget,
     enumerate_subgroups,
     fnil_exact,
 )
@@ -89,6 +88,14 @@ class TestEnumerateSubgroups:
             list(enumerate_subgroups(iterated_wreath_sylow(2, 2), max_count=-5))
         with pytest.raises(ValueError, match="max_count must be non-negative, got -1"):
             fnil_exact(2, 2, 4, max_count=-1)
+
+    @pytest.mark.parametrize("budget", [True, False, 1.5, "3"])
+    def test_non_integer_budget_is_a_usage_error(self, budget):
+        # bool is not a budget, as it is not a point or a blueprint param
+        with pytest.raises(ValueError, match=f"^max_count must be an integer, got {budget!r}$"):
+            fnil_exact(2, 1, 1, max_count=budget)
+        with pytest.raises(ValueError, match=f"^max_count must be an integer, got {budget!r}$"):
+            enumerate_subgroups(iterated_wreath_sylow(2, 2), max_count=budget)
 
     def test_zero_budget_yields_nothing(self):
         stream = enumerate_subgroups(iterated_wreath_sylow(2, 3), max_count=0)
@@ -274,15 +281,6 @@ class TestFnilExact:
         first = json.dumps(fnil_exact(2, 3, 4).to_json(), sort_keys=True)
         second = json.dumps(fnil_exact(2, 3, 4).to_json(), sort_keys=True)
         assert first == second
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("NILBOUND_BUDGET", "123")
-        assert default_budget() == 123
-        monkeypatch.delenv("NILBOUND_BUDGET")
-        assert default_budget() > 123
-        monkeypatch.setenv("NILBOUND_BUDGET", "-5")
-        with pytest.raises(ValueError, match="NILBOUND_BUDGET must be non-negative, got -5"):
-            default_budget()
 
 
 class TestAuditRow:
