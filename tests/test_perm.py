@@ -260,6 +260,18 @@ class TestNormalClosureAndCommutators:
         assert G._levels() is chain
         assert [(lv.point, lv.gens, lv.transversal) for lv in chain] == snapshot
 
+    def test_dihedral_derived_subgroup_brute_force(self):
+        # oracle: commutators of all element pairs of the order-8 group;
+        # the derived subgroup [G, G] is the second lower-central-series term
+        G = iterated_wreath_sylow(2, 2)
+        elements = [Permutation(i) for i in naive_closure(4, G.generators)]
+        pair_comms = {commutator(a, b).images for a in elements for b in elements}
+        oracle = naive_closure(4, [Permutation(i) for i in pair_comms])
+        derived = lower_central_series(G).terms[1]
+        assert derived.order() == len(oracle) == 2
+        for images in oracle:
+            assert Permutation(images) in derived
+
 
 class TestCentralSeries:
     def test_abelian_series(self):
