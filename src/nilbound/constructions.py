@@ -301,11 +301,19 @@ def _guard_digits(quantity: str, p: int, e: int) -> None:
                             f"{p}^{limit} ({SCORE_DIGIT_LIMIT} digits)")
 
 
+def _fields(data: dict, names: tuple[str, ...], what: str) -> dict:
+    """The entries of data for names; ValueError names a key not among them."""
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown {what} {key!r}")
+    return {name: data[name] for name in names}
+
+
 def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
     """Validate parameters and compute the predictions for one construction.
 
-    Raises ValueError for an unknown kind or a bad param, GuardExceeded for a
-    predicted degree or order past SCORE_DIGIT_LIMIT digits.
+    Raises ValueError for an unknown kind or param or a bad value, GuardExceeded
+    for a predicted degree or order past SCORE_DIGIT_LIMIT digits.
     """
     if not isinstance(kind, str):
         raise ValueError("kind must be a string")
@@ -317,7 +325,7 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
         raise ValueError(f"unknown blueprint kind {kind!r}, "
                          f"expected one of {', '.join([*_KINDS, 'product'])}")
     entry = _KINDS[kind]
-    values = {name: params[name] for name in entry.params}
+    values = _fields(params, entry.params, "param")
     for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"need an integer {name}, got {name}={value!r}")
@@ -335,7 +343,7 @@ def make_blueprint(kind: str, params: dict) -> GroupBlueprint:
 
 
 def _product_blueprint(params: dict) -> GroupBlueprint:
-    factors = params["factors"]
+    factors = _fields(params, ("factors",), "param")["factors"]
     if not isinstance(factors, list):
         raise ValueError("factors must be a list")
     factors = [f if isinstance(f, GroupBlueprint) else blueprint_from_json(f) for f in factors]
@@ -357,7 +365,7 @@ def _product_blueprint(params: dict) -> GroupBlueprint:
 def blueprint_from_json(data: dict) -> GroupBlueprint:
     if not isinstance(data, dict):
         raise ValueError("blueprint must be an object")
-    return make_blueprint(data["kind"], data["params"])
+    return make_blueprint(**_fields(data, ("kind", "params"), "key"))
 
 
 def realize(blueprint: GroupBlueprint) -> PermGroup:

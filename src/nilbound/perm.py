@@ -172,16 +172,18 @@ def commutator(x: Permutation, y: Permutation) -> Permutation:
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
     that move it, a transversal mapping each orbit point to a coset
-    representative u with point_base^u = point, and the inverses of those
-    representatives."""
+    representative u with point_base^u = point, the inverses of those
+    representatives, and verified, mapping id(s) for s stored here or deeper
+    (so no id is reused) to how many transversal points have a verified pair."""
 
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    __slots__ = ("point", "gens", "transversal", "inverses", "verified")
 
     def __init__(self, point: int, identity: Permutation):
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {point: identity}
         self.inverses: dict[int, Permutation] = {point: identity}
+        self.verified: dict[int, int] = {}
 
 
 def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
@@ -196,10 +198,7 @@ def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
     return h
 
 
-def _build_chain(
-    levels: list[_Level], degree: int, generators: Iterable[Permutation],
-    verified: dict[tuple[int, int], int],
-) -> list[_Level]:
+def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permutation]) -> list[_Level]:
     """Deterministic incremental Schreier-Sims: extend levels, a verified
     chain that no group holds yet ([] or base points with no generators), by
     generators.
@@ -214,11 +213,9 @@ def _build_chain(
 
     Transversals only grow, from the points already in them, and no u_x is
     replaced; the deeper levels' group only grows too, so a Schreier
-    generator once verified stays verified.  verified maps (level, id(s)) to
-    how many transversal points, in insertion order, have a verified pair
-    with s; verification resumes there and skips tree edges (u_x * s ==
-    u_{x^s}).  The caller keeps verified only while it grows this chain, and
-    every s it names stays alive in levels, so no id is reused meanwhile.
+    generator once verified stays verified.  Each level's verified counts
+    say where verification resumes for each s; it skips tree edges
+    (u_x * s == u_{x^s}).
     """
     identity = Permutation.identity(degree)
 
@@ -256,10 +253,10 @@ def _build_chain(
         """Sift the Schreier generators of level i not verified yet; return
         the first non-identity residue, or None once all are verified."""
         level = levels[i]
+        verified = level.verified
         points = list(level.transversal.items())
         for s in level_gens(i):
-            key = (i, id(s))
-            for k in range(verified.get(key, 0), len(points)):
+            for k in range(verified.get(id(s), 0), len(points)):
                 x, u = points[k]
                 us, y = u * s, s.images[x]
                 if us != level.transversal[y]:
@@ -267,9 +264,9 @@ def _build_chain(
                     if not residue.is_identity():
                         # this pair is residue times deeper transversal
                         # elements, so placing residue verifies it
-                        verified[key] = k + 1
+                        verified[id(s)] = k + 1
                         return residue
-            verified[key] = len(points)
+            verified[id(s)] = len(points)
         return None
 
     i = max((place(g) for g in generators if not g.is_identity()), default=-1)
@@ -317,7 +314,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _build_chain([], self._degree, self._generators, {})
+                    self._chain = _build_chain([], self._degree, self._generators)
         return self._chain
 
     def order(self) -> int:
@@ -374,7 +371,7 @@ class PermGroup:
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
         levels = [_Level(point, self.identity)]
-        _build_chain(levels, self._degree, self._generators, {})
+        _build_chain(levels, self._degree, self._generators)
         stabilizer = PermGroup(self._degree, [g for level in levels[1:] for g in level.gens])
         stabilizer._chain = levels[1:]
         return stabilizer
@@ -403,7 +400,6 @@ class PermGroup:
         conjugators = [(g.inverse(), g) for g in self._generators]
         gens: list[Permutation] = []
         levels: list[_Level] = []
-        verified: dict[tuple[int, int], int] = {}
         queue = collections.deque(seeds)
         while queue:
             h = queue.popleft()
@@ -412,7 +408,7 @@ class PermGroup:
             if h not in self:
                 raise GroupError("seed is not a member of the group")
             gens.append(h)
-            _build_chain(levels, self._degree, (h,), verified)
+            _build_chain(levels, self._degree, (h,))
             queue.extend(g_inv * h * g for g_inv, g in conjugators)
         closure = PermGroup(self._degree, gens)
         closure._chain = levels

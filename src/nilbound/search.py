@@ -11,12 +11,13 @@ gives the same K, so each overgroup K of H is built once, from its least g.
 
 The enumeration works over a multiplication table indexed by the sorted
 element list of the tower, which keeps subgroups as plain integer sets.
-Each subgroup K carries a list of at most log_p |K| generators, and the
-normality test, the conjugacy orbits and the nilpotency class run on those
-generators, not on every element.  The reported witnesses are re-analyzed
-through the permutation-group engine by audit_row, so the two arithmetic
-paths check each other.  A stream visits at most max_count subgroups, or
-DEFAULT_BUDGET of them when the caller passes none.
+Each subgroup K carries at most log_p |K| generators; the normality test
+and the conjugacy orbits run on them, and the nilpotency class is the
+length of K's upper central series, each term screened on them.  audit_row
+re-analyzes the reported witnesses through the permutation-group engine,
+whose class comes from the lower central series, so the two arithmetic
+paths and the two series check each other.  A stream visits at most
+max_count subgroups, or DEFAULT_BUDGET of them when the caller passes none.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ CLASS_BOUND_LIMIT = 1000
 
 
 class _Tables:
-    """Multiplication/inverse tables over the sorted element list of a group.
-
-    mult[i][j] indexes elements[i] * elements[j]; the inverse of element i
-    is read from its row as the column holding the identity."""
+    """Multiplication, inverse and conjugation tables over the sorted element
+    list of a group: mult[i][j] indexes elements[i] * elements[j], inv[i] is
+    the column of row i holding the identity, and conj[g][x] indexes
+    g^-1 x g, row g^-1 of mult read along column g."""
 
     def __init__(self, group: PermGroup):
         elements = sorted(g.images for g in group.elements())
@@ -58,7 +59,9 @@ class _Tables:
         self.index = index
         self.mult = mult
         self.identity = index[tuple(range(group.degree))]
-        self.inv = [row.index(self.identity) for row in mult]
+        self.inv = inv = [row.index(self.identity) for row in mult]
+        self.conj = [list(map(mult[inv[g]].__getitem__, map(itemgetter(g), mult)))
+                     for g in range(len(mult))]
         self.degree = group.degree
         self.gen_indices = sorted(index[g.images] for g in group.generators)
 
@@ -81,26 +84,20 @@ class _Tables:
         return len({self.elements[h][0] for h in subgroup}) == self.degree
 
     def subgroup_class(self, subgroup: frozenset[int], gens: list[int]) -> int:
-        """Nilpotency class of subgroup = <gens> via the lower central series,
-        computed on generators: each term [term, subgroup] is the normal
-        closure in subgroup of the commutators of the term's generators with
-        gens, grown by adjoin one generator at a time."""
+        """Nilpotency class of subgroup = <gens> as the length of its upper
+        central series: Z_(i+1) holds the z in the subgroup whose commutators
+        [z, y] = z^-1 (y^-1 z y) with every generator y lie in Z_i.  Testing
+        the generators suffices because Z_i is normal in the subgroup."""
         mult, inv = self.mult, self.inv
-        term, term_gens = subgroup, gens
+        center = {self.identity}
         cls = 0
-        while len(term) > 1:
-            nxt: frozenset[int] = frozenset({self.identity})
-            nxt_gens: list[int] = []
-            pending = [mult[mult[inv[x]][inv[y]]][mult[x][y]] for x in term_gens for y in gens]
-            while pending:
-                z = pending.pop()
-                if z not in nxt:
-                    nxt = self.adjoin(nxt, nxt_gens, z)
-                    nxt_gens.append(z)
-                    pending.extend(mult[mult[inv[y]][z]][y] for y in gens)
-            if len(nxt) == len(term):
-                raise AssertionError("commutator series stalled in a p-group")
-            term, term_gens = nxt, nxt_gens
+        while len(center) < len(subgroup):
+            grown = subgroup
+            for row in map(self.conj.__getitem__, gens):
+                grown = [z for z in grown if mult[inv[z]][row[z]] in center]
+            if len(grown) == len(center):
+                raise AssertionError("upper central series stalled: not nilpotent")
+            center = set(grown)
             cls += 1
         return cls
 
@@ -158,13 +155,11 @@ def _iter_subgroup_sets(
     conjugates.  Normality is tested on H's generators and an orbit step
     maps the element set through one conjugation row.  Every subgroup
     visited, the trivial one included, counts against max_count."""
-    identity, mult, inv = tables.identity, tables.mult, tables.inv
+    identity, mult, conj = tables.identity, tables.mult, tables.conj
     n = len(mult)
     pth = list(range(n))  # pth[g] = g^p
     for _ in range(p - 1):
         pth = [mult[x][g] for g, x in enumerate(pth)]
-    # conj[g][x] indexes g^-1 x g: row g^-1 of mult read along column g
-    conj = [list(map(mult[inv[g]].__getitem__, map(itemgetter(g), mult))) for g in range(n)]
     conjugators = [conj[s] for s in tables.gen_indices] if dedupe == "conjugacy" else []
 
     yielded = 1

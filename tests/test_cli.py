@@ -240,11 +240,15 @@ class TestConstruct:
             ('{"kind":["x"],"params":{}}', "kind must be a string"),
             ('{"kind":"product","params":{"factors":5}}', "factors must be a list"),
             ('{"kind":"product","params":{"factors":[1,2]}}', "blueprint must be an object"),
+            ('{"kind":"sylow-wreath","params":{"p":2,"k":1,"typo":7}}', "unknown param 'typo'"),
+            ('{"kind":"product","params":{"factors":[{"kind":"sylow-wreath","params":{"p":2,"k":1}},'
+             '{"kind":"sylow-wreath","params":{"p":2,"k":1}}],"p":2}}', "unknown param 'p'"),
+            ('{"kind":"sylow-wreath","params":{"p":2,"k":1},"class":2}', "unknown key 'class'"),
         ],
         ids=["float-k", "bool-p", "sylow-wreath-p4", "affine-p4", "abelian-class2-p6",
              "wreath-polynomial-p9", "missing-k", "missing-kind", "missing-params", "missing-factors",
              "missing-p-in-factor", "int-params", "list-params", "list-kind", "int-factors",
-             "int-factor"],
+             "int-factor", "unknown-param", "unknown-product-param", "unknown-top-level-key"],
     )
     def test_non_integer_or_non_prime_params_are_invalid_blueprints(self, capsys, blueprint, message):
         code, out, err = run(capsys, "construct", "--blueprint", blueprint)

@@ -404,7 +404,7 @@ class TestChainOracle:
         for name, G in corpus:
             for point in range(G.degree):
                 # the chain point_stabilizer grows, with its base fixed at point
-                levels = _build_chain([_Level(point, G.identity)], G.degree, G.generators, {})
+                levels = _build_chain([_Level(point, G.identity)], G.degree, G.generators)
                 assert_chain_verified(levels, G.generators)
                 S = G.point_stabilizer(point)
                 assert S._chain is not None, (name, point)  # kept, not rebuilt

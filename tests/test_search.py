@@ -8,7 +8,7 @@ import pytest
 
 from nilbound import search
 from nilbound.bounds import class2_exponent, f_upper
-from nilbound.constructions import iterated_wreath_sylow, sylow_exponent
+from nilbound.constructions import dihedral_times_abelian, iterated_wreath_sylow, sylow_exponent
 from nilbound.perm import GuardExceeded, PermGroup, Permutation, nilpotency_class
 from nilbound.search import (
     SearchRow,
@@ -158,6 +158,7 @@ def test_tables_match_permutation_products(p, k):
         assert tables.elements[tables.inv[i]] == a.inverse().images
         for j, b in enumerate(perms):
             assert tables.elements[tables.mult[i][j]] == (a * b).images
+            assert tables.elements[tables.conj[i][j]] == b.conjugate(a).images
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
@@ -178,7 +179,10 @@ def test_carried_generators_and_class(p, k):
 
 def test_class_needs_the_normal_closure():
     # <a, b> of order 32 and class 3 in the degree-16 tower, where <[a, b]>
-    # has order 2 but the commutator subgroup has order 4
+    # has order 2 but the commutator subgroup has order 4, so a lower central
+    # series term must be a normal closure.  The tables read the class off
+    # the upper central series, which needs none; the group stays as a
+    # regression input, its class confirmed by perm's lower central series.
     a = Permutation((3, 2, 0, 1, 5, 4, 7, 6, 10, 11, 9, 8, 12, 13, 15, 14))
     b = Permutation((11, 10, 9, 8, 13, 12, 14, 15, 1, 0, 3, 2, 4, 5, 7, 6))
     G = PermGroup(16, [a, b])
@@ -187,6 +191,26 @@ def test_class_needs_the_normal_closure():
     gens = [tables.index[a.images], tables.index[b.images]]
     assert (G.order(), nilpotency_class(G)) == (32, 3)
     assert tables.subgroup_class(whole, gens) == 3
+
+
+def test_class_past_the_towers():
+    # the dihedral group of order 64 has class 5, past the class 4 of the
+    # largest admitted tower; every subgroup against perm's lower central series
+    G = dihedral_times_abelian(6, 5)
+    tables = _Tables(G)
+    count = 0
+    for K, gens in search._iter_subgroup_sets(tables, 2, "set", search.DEFAULT_BUDGET):
+        count += 1
+        assert tables.subgroup_class(K, gens) == nilpotency_class(tables.to_perm_group(K))
+    assert (G.order(), nilpotency_class(G), count) == (64, 5, 69)  # tau(32) + sigma(32)
+
+
+def test_class_of_a_non_nilpotent_group_stalls():
+    # S_3 has trivial center, so its upper central series stalls at {1}
+    S3 = PermGroup(3, [Permutation.from_cycles(3, (0, 1, 2)), Permutation.from_cycles(3, (0, 1))])
+    tables = _Tables(S3)
+    with pytest.raises(AssertionError, match="stalled"):
+        tables.subgroup_class(frozenset(range(6)), tables.gen_indices)
 
 
 class TestDegreeFourCompleteness:
@@ -239,9 +263,10 @@ class TestFnilExact:
         assert row.exponents == (2, 3, 4)
 
     def test_set_and_conjugacy_modes_agree(self):
+        # whole rows, witnesses included, at every degree the guard admits
         for p, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
-            a = fnil_exact(p, k, 6, dedupe="set").exponents
-            b = fnil_exact(p, k, 6, dedupe="conjugacy").exponents
+            a = fnil_exact(p, k, 6, dedupe="set").to_json()
+            b = fnil_exact(p, k, 6, dedupe="conjugacy").to_json()
             assert a == b, (p, k)
 
     @pytest.mark.parametrize(
