@@ -15,13 +15,7 @@ import sys
 
 from . import bounds, search
 from .constructions import DEGREE_GUARD, GroupBlueprint, blueprint_from_json, realize, require_prime
-from .perm import (
-    GuardExceeded,
-    NotNilpotentError,
-    PermGroup,
-    center,
-    lower_central_series,
-)
+from .perm import GuardExceeded, PermGroup, center, lower_central_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -285,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (_UsageError, ValueError, NotNilpotentError, RecursionError) as exc:
+    except (_UsageError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GuardExceeded as exc:

@@ -7,7 +7,8 @@ Schreier-Sims).  A group builds its chain once, on first demand; a normal
 closure grows one private chain generator by generator and hands it to the
 group it returns, and a point stabilizer keeps the levels below the point of
 the chain grown for it.  Chains grow incrementally: transversals only gain
-points, and verification resumes where it stopped, so no Schreier generator
+points, and a chain is verified data between calls, so each call sifts only
+the Schreier generators with a new point or a new strong generator and none
 is sifted twice.  A chain attached to a group is never mutated afterwards,
 so groups are safe to share across threads.  Products run in C, ``a * b``
 as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
@@ -68,6 +69,9 @@ class Permutation:
         """Build a permutation from disjoint cycles; omitted points are fixed."""
         images = list(range(degree))
         for cycle in cycles:
+            for x in cycle:
+                if not 0 <= x < degree:
+                    raise ValueError(f"point {x} out of range for degree {degree}")
             for a, b in zip(cycle, cycle[1:]):
                 images[a] = b
             if cycle:
@@ -172,18 +176,16 @@ def commutator(x: Permutation, y: Permutation) -> Permutation:
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators
     that move it, a transversal mapping each orbit point to a coset
-    representative u with point_base^u = point, the inverses of those
-    representatives, and verified, mapping id(s) for s stored here or deeper
-    (so no id is reused) to how many transversal points have a verified pair."""
+    representative u with point_base^u = point, and the inverses of those
+    representatives."""
 
-    __slots__ = ("point", "gens", "transversal", "inverses", "verified")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int, identity: Permutation):
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {point: identity}
         self.inverses: dict[int, Permutation] = {point: identity}
-        self.verified: dict[int, int] = {}
 
 
 def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
@@ -213,14 +215,22 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
 
     Transversals only grow, from the points already in them, and no u_x is
     replaced; the deeper levels' group only grows too, so a Schreier
-    generator once verified stays verified.  Each level's verified counts
-    say where verification resumes for each s; it skips tree edges
-    (u_x * s == u_{x^s}).
+    generator once verified stays verified.  As the chain is verified on
+    entry, a call sifts only the pairs with a new point or a new generator:
+    verified, local to the call, maps (i, id(s)) to how many points of level
+    i's transversal have a verified pair with s, starting at the level's
+    size on entry for an s already stored and at 0 for an s this call
+    places (the chain keeps every s alive, so no id is reused).
+    Verification skips tree edges (u_x * s == u_{x^s}).
     """
     identity = Permutation.identity(degree)
 
     def level_gens(i: int) -> list[Permutation]:
         return [g for level in levels[i:] for g in level.gens]
+
+    verified = {
+        (i, id(s)): len(level.transversal) for i, level in enumerate(levels) for s in level_gens(i)
+    }
 
     def place(g: Permutation) -> int:
         """Store g at its home level, extending the base when g fixes every
@@ -253,10 +263,10 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
         """Sift the Schreier generators of level i not verified yet; return
         the first non-identity residue, or None once all are verified."""
         level = levels[i]
-        verified = level.verified
         points = list(level.transversal.items())
         for s in level_gens(i):
-            for k in range(verified.get(id(s), 0), len(points)):
+            key = (i, id(s))
+            for k in range(verified.get(key, 0), len(points)):
                 x, u = points[k]
                 us, y = u * s, s.images[x]
                 if us != level.transversal[y]:
@@ -264,9 +274,9 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
                     if not residue.is_identity():
                         # this pair is residue times deeper transversal
                         # elements, so placing residue verifies it
-                        verified[id(s)] = k + 1
+                        verified[key] = k + 1
                         return residue
-            verified[id(s)] = len(points)
+            verified[key] = len(points)
         return None
 
     i = max((place(g) for g in generators if not g.is_identity()), default=-1)

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from . import bounds
 from .constructions import iterated_wreath_sylow, require_prime
-from .perm import GuardExceeded, PermGroup, Permutation, nilpotency_class
+from .perm import GuardExceeded, PermGroup, Permutation, lower_central_series
 
 DEFAULT_BUDGET = 500_000
 
@@ -346,18 +346,20 @@ def audit_row(row: SearchRow) -> AuditReport:
     for c, witness in enumerate(row.witnesses, start=1):
         reloaded = PermGroup.from_json(witness.to_json())
         order = reloaded.order()
-        cls = nilpotency_class(reloaded)
+        cls = lower_central_series(reloaded).nilpotency_class
         good = (
             reloaded.degree == row.p**row.k
             and reloaded.is_transitive()
             and order == row.p ** row.exponents[c - 1]
+            and cls is not None
             and cls <= c
         )
         checks.append(
             AuditCheck(
                 f"witness-valid[c={c}]",
                 good,
-                f"degree {reloaded.degree}, order {order}, class {cls}",
+                f"degree {reloaded.degree}, order {order}, "
+                + ("not nilpotent" if cls is None else f"class {cls}"),
             )
         )
     return AuditReport(tuple(checks))

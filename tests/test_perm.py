@@ -1,5 +1,6 @@
 """Permutation and group engine tests against closure-based oracles."""
 
+import collections
 import hashlib
 import json
 import time
@@ -99,6 +100,12 @@ class TestPermutation:
         assert [p(x) for x in range(3)] == [1, 0, 2]
         with pytest.raises(ValueError, match=f"point {point} out of range for degree 3"):
             p(point)
+
+    @pytest.mark.parametrize("point", [-1, 3, 10])
+    def test_from_cycles_checks_its_points(self, point):
+        assert Permutation.from_cycles(3, (2, 1)).images == (0, 2, 1)
+        with pytest.raises(ValueError, match=f"point {point} out of range for degree 3"):
+            Permutation.from_cycles(3, (point, 1))
 
     @pytest.mark.parametrize("other", [3, None, (1, 0)])
     def test_order_against_non_permutation_is_a_type_error(self, other):
@@ -410,6 +417,40 @@ class TestChainOracle:
                 assert S._chain is not None, (name, point)  # kept, not rebuilt
                 assert_chain_verified(S._levels(), S.generators)
                 assert G.order() == len(G.orbit(point)) * S.order(), name
+
+    def test_each_schreier_pair_is_sifted_once(self, monkeypatch):
+        # only first_residue sifts from a level below the top; its sifts of
+        # one chain, over all the calls that grow it, must be exactly the
+        # finished chain's non-tree pairs (u_x * s != u_{x^s}, s stored at
+        # that level or deeper): none skipped, none sifted twice
+        chains, sifted = [], collections.Counter()
+        real_build, real_sift = perm._build_chain, perm._sift
+
+        def build(levels, degree, generators):
+            if all(levels is not seen for seen in chains):
+                chains.append(levels)
+            return real_build(levels, degree, generators)
+
+        def sift(levels, h, start=0):
+            if start >= 1:
+                sifted[id(levels)] += 1
+            return real_sift(levels, h, start)
+
+        monkeypatch.setattr(perm, "_build_chain", build)
+        monkeypatch.setattr(perm, "_sift", sift)
+        s5 = PermGroup(5, [Permutation((1, 2, 3, 4, 0)), Permutation((1, 0, 2, 3, 4))])
+        for _, G in build_corpus() + [("S5", s5)]:
+            G.order()
+            G.point_stabilizer(0)
+            lower_central_series(G)
+        for levels in chains:
+            non_tree = sum(
+                u * s != level.transversal[s.images[x]]
+                for i, level in enumerate(levels)
+                for s in [g for deeper in levels[i:] for g in deeper.gens]
+                for x, u in level.transversal.items()
+            )
+            assert sifted[id(levels)] == non_tree, [level.point for level in levels]
 
 
 class TestCenter:

@@ -19,7 +19,7 @@ from nilbound.search import (
     fnil_exact,
 )
 
-from conftest import cyclic, naive_closure
+from conftest import cyclic, naive_closure, sym3
 
 
 def brute_force_subgroups(group, max_generators=4):
@@ -335,6 +335,13 @@ class TestAuditRow:
         assert not report.ok
         failed = {c.name for c in report.checks if not c.passed}
         assert "composition-upper-bound[c=2]" in failed
+
+    def test_non_nilpotent_witness_is_reported_not_raised(self):
+        report = audit_row(SearchRow(3, 1, 1, (1,), (sym3(),)))
+        assert not report.ok
+        [witness] = [c for c in report.checks if c.name == "witness-valid[c=1]"]
+        assert not witness.passed
+        assert witness.detail == "degree 3, order 6, not nilpotent"
 
 
 def test_reference_rows_are_self_consistent():
