@@ -3,17 +3,19 @@
 Points are 0-indexed and actions are on the right: ``g(point)`` is the image
 of a point and ``a * b`` means "apply a, then b".  Group order and membership
 come from a deterministic base/strong-generating-set chain (no random
-Schreier-Sims).  A group builds its chain once, on first demand; a normal
-closure grows one private chain generator by generator and hands it to the
-group it returns, and a point stabilizer keeps the levels below the point of
-the chain grown for it.  Chains grow incrementally: transversals only gain
+Schreier-Sims), built once per group on first demand; a normal closure or a
+series term keeps the chain grown for it.  Nilpotent groups grow their
+chains by index-p adjoins (Sims 1990; Seress, "Permutation Group
+Algorithms", 2003, ch. 7), which sift no Schreier generator, so a p-group's
+closure N keeps exactly log_p |N| generators, one per adjoin.  Other groups,
+and point stabilizers, use incremental Schreier-Sims: transversals only gain
 points, and a chain is verified data between calls, so each call sifts only
-the Schreier generators with a new point or a new strong generator and none
-is sifted twice.  A chain attached to a group is never mutated afterwards,
-so groups are safe to share across threads.  Products run in C, ``a * b``
-as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
-compares with the images of one cached identity per degree.  Past order
-``ELEMENT_LIMIT``, a group's element list and its center are refused.
+the Schreier generators with a new point or a new strong generator.  A chain
+attached to a group is never mutated afterwards, so groups are safe to share
+across threads.  Products run in C, ``a * b`` as ``itemgetter(*a)(b)`` on
+the image tuples, and the identity test compares with the images of one
+cached identity per degree.  Past order ``ELEMENT_LIMIT``, a group's element
+list and its center are refused.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
@@ -68,10 +71,16 @@ class Permutation:
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> Permutation:
         """Build a permutation from disjoint cycles; omitted points are fixed."""
         images = list(range(degree))
+        seen = set()
         for cycle in cycles:
             for x in cycle:
+                if type(x) is not int:  # bool is not a point
+                    raise ValueError(f"point {x!r} is not an integer")
                 if not 0 <= x < degree:
                     raise ValueError(f"point {x} out of range for degree {degree}")
+                if x in seen:
+                    raise ValueError(f"point {x} is repeated in the cycles")
+                seen.add(x)
             for a, b in zip(cycle, cycle[1:]):
                 images[a] = b
             if cycle:
@@ -110,14 +119,15 @@ class Permutation:
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Permutation.identity(self.degree) if result is None else result
 
     def conjugate(self, g: Permutation) -> Permutation:
         """Return g^-1 * self * g."""
@@ -200,6 +210,23 @@ def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
     return h
 
 
+def _place(levels: list[_Level], g: Permutation) -> int:
+    """Store g at its home level, the first whose base point it moves, and
+    return that level's index; when g fixes every base point, its home is a
+    new last level based at the least point it moves."""
+    for i, level in enumerate(levels):
+        if g.images[level.point] != level.point:
+            level.gens.append(g)
+            return i
+    levels.append(_Level(_least_moved(g), Permutation.identity(g.degree)))
+    levels[-1].gens.append(g)
+    return len(levels) - 1
+
+
+def _least_moved(g: Permutation) -> int:
+    return next(x for x, y in enumerate(g.images) if x != y)
+
+
 def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permutation]) -> list[_Level]:
     """Deterministic incremental Schreier-Sims: extend levels, a verified
     chain that no group holds yet ([] or base points with no generators), by
@@ -221,9 +248,10 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
     i's transversal have a verified pair with s, starting at the level's
     size on entry for an s already stored and at 0 for an s this call
     places (the chain keeps every s alive, so no id is reused).
-    Verification skips tree edges (u_x * s == u_{x^s}).
+    Verification skips tree edges (u_x * s == u_{x^s}).  A new point
+    y = x^s gets u_y = u_x * s and u_y^-1 = s^-1 * u_x^-1, each s inverted
+    once per call.
     """
-    identity = Permutation.identity(degree)
 
     def level_gens(i: int) -> list[Permutation]:
         return [g for level in levels[i:] for g in level.gens]
@@ -231,22 +259,11 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
     verified = {
         (i, id(s)): len(level.transversal) for i, level in enumerate(levels) for s in level_gens(i)
     }
-
-    def place(g: Permutation) -> int:
-        """Store g at its home level, extending the base when g fixes every
-        current base point."""
-        for i, level in enumerate(levels):
-            if g.images[level.point] != level.point:
-                level.gens.append(g)
-                return i
-        point = min(p for p in range(degree) if g.images[p] != p)
-        levels.append(_Level(point, identity))
-        levels[-1].gens.append(g)
-        return len(levels) - 1
+    inverse = functools.cache(Permutation.inverse)
 
     def extend_transversals(top: int) -> None:
         for j, level in enumerate(levels[: top + 1]):
-            transversal = level.transversal
+            transversal, inverses = level.transversal, level.inverses
             frontier = list(transversal)
             gens = level_gens(j)
             while frontier:
@@ -256,7 +273,7 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
                     y = s.images[x]
                     if y not in transversal:
                         transversal[y] = u * s
-                        level.inverses[y] = transversal[y].inverse()
+                        inverses[y] = inverse(s) * inverses[x]
                         frontier.append(y)
 
     def first_residue(i: int) -> Permutation | None:
@@ -279,7 +296,7 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
             verified[key] = len(points)
         return None
 
-    i = max((place(g) for g in generators if not g.is_identity()), default=-1)
+    i = max((_place(levels, g) for g in generators if not g.is_identity()), default=-1)
     extend_transversals(i)
     while i >= 0:
         residue = first_residue(i)
@@ -288,9 +305,97 @@ def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permuta
         else:
             # residue fixes the base points of levels 0..i, so its home is
             # at least i + 1
-            i = place(residue)
+            i = _place(levels, residue)
             extend_transversals(i)
     return levels
+
+
+def _adjoin(levels: list[_Level], w: Permutation, q: int) -> None:
+    """Extend levels, the verified chain of M, to that of <M, w>, where w
+    normalizes M, w^q lies in M and w does not (q prime).
+
+    w sifts to r = w m (m in M), stored at level i where the sift stopped.
+    r fixes the base points before i, so it normalizes M_i, the group of the
+    levels >= i, and r^q lies in M_i.  r moves level i's base point out of
+    its M_i-orbit D and permutes the M_i-orbits with period q, so <M_i, r>
+    has the orbit D, D^r, ..., D^(r^(q-1)): u_(x^(r^a)) = u_x r^a, with
+    inverse r^-a u_x^-1.  That growth is all of the index q, so the other
+    levels stay verified, and no Schreier generator is sifted.
+    """
+    r = _sift(levels, w)
+    level = levels[_place(levels, r)]
+    r_inv = r.inverse()
+    coset = [(x, u, level.inverses[x]) for x, u in level.transversal.items()]
+    for _ in range(q - 1):
+        coset = [(r.images[x], u * r, r_inv * u_inv) for x, u, u_inv in coset]
+        for y, u, u_inv in coset:
+            level.transversal[y] = u
+            level.inverses[y] = u_inv
+
+
+def _least_prime(w: Permutation) -> int:
+    """The least prime dividing the order of w, which is not the identity:
+    the least d > 1 dividing the length of one of its cycles."""
+    lengths = {len(c) for c in w.cycles()}
+    return next(d for d in itertools.count(2) if any(n % d == 0 for n in lengths))
+
+
+def _close(
+    levels: list[_Level],
+    conjugators: list[tuple[Permutation, Permutation]],
+    seed: Permutation,
+    adjoined: list[Permutation],
+) -> bool:
+    """Grow levels, the verified chain of a normal subgroup M of G, to that
+    of the normal closure of <M, seed> (seed in G), appending each adjoined
+    element to adjoined; conjugators holds (g^-1, g) for g in G that with M
+    generate G.  False, with levels still a chain of a normal subgroup, when
+    the loop proves G is not nilpotent.
+
+    The top w of a stack started at the seed is adjoined once w^q (q the
+    least prime dividing w's order) and every [w, g] lie in M: then wM is
+    central of order q in G/M.  Until then the first not in M is pushed;
+    after an adjoin, the frames now in M are dropped.
+
+    For nilpotent G, each push strictly lowers the normal closure N of the
+    top, so the stack holds at most log_2 |G| <= log_2 n! < limit frames:
+    [N, G] < N for N != 1, and N/[N, G] is cyclic on w; if w^q generated it
+    too, the q-part of w, not 1, would lie in [N, G], and its normal
+    closure, the q-part of N, would equal its commutator with G, so be 1.
+    A pushed element equal to one on the stack also proves G is not
+    nilpotent: power steps alone lower the order, and a cycle through a
+    commutator step puts it in every lower-central term.
+    """
+    if _sift(levels, seed).is_identity():
+        return True
+    limit = math.factorial(seed.degree).bit_length()
+
+    def frame(w: Permutation):
+        q = _least_prime(w)
+
+        def children():
+            yield w**q
+            w_inv = w.inverse()
+            for g_inv, g in conjugators:
+                yield w_inv * g_inv * w * g
+
+        return w, q, children()
+
+    stack = [frame(seed)]
+    while stack:
+        w, q, children = stack[-1]
+        h = next((h for h in children if not _sift(levels, h).is_identity()), None)
+        if h is None:
+            stack.pop()
+            _adjoin(levels, w, q)
+            adjoined.append(w)
+            while stack and _sift(levels, stack[-1][0]).is_identity():
+                stack.pop()
+        elif len(stack) >= limit or any(h == f[0] for f in stack):
+            return False
+        else:
+            stack.append(frame(h))
+    return True
 
 
 class PermGroup:
@@ -324,8 +429,20 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _build_chain([], self._degree, self._generators)
+                    chain = self._nilpotent_chain()
+                    self._chain = _build_chain([], self._degree, self._generators) if chain is None else chain
         return self._chain
+
+    def _nilpotent_chain(self) -> list[_Level] | None:
+        """The chain by adjoins, seeded with the generators in turn and based
+        where _build_chain would base it; None if the push loop proves self
+        is not nilpotent."""
+        first = next((g for g in self._generators if not g.is_identity()), None)
+        levels = [] if first is None else [_Level(_least_moved(first), self.identity)]
+        conjugators = [(g.inverse(), g) for g in self._generators]
+        if all(_close(levels, conjugators, g, []) for g in self._generators):
+            return levels
+        return None
 
     def order(self) -> int:
         n = 1
@@ -380,11 +497,8 @@ class PermGroup:
         based at point, kept as the subgroup's chain."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
-        levels = [_Level(point, self.identity)]
-        _build_chain(levels, self._degree, self._generators)
-        stabilizer = PermGroup(self._degree, [g for level in levels[1:] for g in level.gens])
-        stabilizer._chain = levels[1:]
-        return stabilizer
+        levels = _build_chain([_Level(point, self.identity)], self._degree, self._generators)[1:]
+        return _group_on(self._degree, [g for level in levels for g in level.gens], levels)
 
     def elements(self) -> list[Permutation]:
         """All group elements; raises GuardExceeded when order > ELEMENT_LIMIT."""
@@ -398,16 +512,31 @@ class PermGroup:
     def normal_closure(self, seeds: Sequence[Permutation]) -> PermGroup:
         """Smallest normal subgroup of self containing the seeds.
 
-        A worklist grows one stabilizer chain.  A candidate that sifts
-        through it is dropped, since the closure so far lies in self; any
-        other is sifted into self, becomes a generator, extends the chain and
-        queues its conjugates by the generators of self.  Each generator kept
-        enlarges the closure, so a p-group's closure N keeps, and sifts into
-        self, <= log_p |N| of them."""
+        _close grows its chain by adjoins, one generator per adjoin, so a
+        p-group's closure N keeps exactly log_p |N| generators.  A seed that
+        sifts through the chain is dropped; any other is checked against
+        self first.  If self is not nilpotent, _worklist_closure restarts."""
         for s in seeds:
             if not isinstance(s, Permutation) or s.degree != self._degree:
                 raise GroupError("seed is not a member of the group")
         conjugators = [(g.inverse(), g) for g in self._generators]
+        gens: list[Permutation] = []
+        levels: list[_Level] = []
+        for h in seeds:
+            if _sift(levels, h).is_identity():
+                continue
+            if h not in self:
+                raise GroupError("seed is not a member of the group")
+            if not _close(levels, conjugators, h, gens):
+                return self._worklist_closure(seeds, conjugators)
+        return _group_on(self._degree, gens, levels)
+
+    def _worklist_closure(
+        self, seeds: Sequence[Permutation], conjugators: list[tuple[Permutation, Permutation]]
+    ) -> PermGroup:
+        """The normal closure by Schreier-Sims: a candidate that sifts
+        through the chain is dropped; any other is sifted into self, becomes
+        a generator, extends the chain and queues its conjugates g^-1 h g."""
         gens: list[Permutation] = []
         levels: list[_Level] = []
         queue = collections.deque(seeds)
@@ -420,9 +549,7 @@ class PermGroup:
             gens.append(h)
             _build_chain(levels, self._degree, (h,))
             queue.extend(g_inv * h * g for g_inv, g in conjugators)
-        closure = PermGroup(self._degree, gens)
-        closure._chain = levels
-        return closure
+        return _group_on(self._degree, gens, levels)
 
     # -- serialization ----------------------------------------------------
 
@@ -457,6 +584,14 @@ class PermGroup:
         return f"PermGroup(degree={self._degree}, ngens={len(self._generators)})"
 
 
+def _group_on(degree: int, gens: list[Permutation], levels: list[_Level]) -> PermGroup:
+    """The group generated by gens, keeping levels, a verified chain of it,
+    as its own."""
+    group = PermGroup(degree, gens)
+    group._chain = levels
+    return group
+
+
 @dataclass(frozen=True)
 class CentralSeries:
     """The descending commutator series G = term[0] >= term[1] >= ...
@@ -487,8 +622,8 @@ def _commutators(A: PermGroup, B: PermGroup) -> list[Permutation]:
 def lower_central_series(G: PermGroup) -> CentralSeries:
     """Iterate term[i+1] = [term[i], G] until the series stabilizes.  Each
     term is normal in G, so [term, G] is the normal closure in G of the
-    generator commutators.  normal_closure grows a fresh chain for each term
-    and sifts each generator it keeps into G."""
+    generator commutators, grown by adjoins for nilpotent G (a p-group's
+    term N keeps exactly log_p |N| generators)."""
     terms = [G]
     while terms[-1].order() > 1:
         current = terms[-1]
@@ -540,7 +675,8 @@ def center(G: PermGroup) -> PermGroup:
     intransitive G falls back to a scan of all its elements.  Either way
     its order must stay within ELEMENT_LIMIT, which is checked first.  The
     central elements are their own conjugates, so their normal closure
-    keeps only those that enlarge the group: at most log_2 |Z| generators.
+    adjoins only them and their powers, each multiplying the order by a
+    prime: at most log_2 |Z| generators.
     """
     if G.order() > ELEMENT_LIMIT:
         raise GuardExceeded(

@@ -22,6 +22,34 @@ from nilbound.perm import PermGroup, Permutation
 
 NAIVE_CLOSURE_LIMIT = 10_000
 
+# a nilpotent group that is not a p-group: degree 9 * 8 = 72, order 3^3 * 2^7
+MIXED_PRODUCT = {
+    "kind": "product",
+    "params": {
+        "factors": [
+            {"kind": "affine-unitriangular", "params": {"p": 3, "k": 2, "m": 1}},
+            {"kind": "sylow-wreath", "params": {"p": 2, "k": 3}},
+        ]
+    },
+}
+
+# the witness groups: every blueprint kind up to the degree-64
+# wreath/polynomial groups, MIXED_PRODUCT, and one of order 2^24, past the
+# center's element limit
+WITNESS_BLUEPRINTS = [
+    {"kind": "affine-unitriangular", "params": {"p": 2, "k": 6, "m": 3}},
+    {"kind": "abelian-class2", "params": {"p": 2, "k": 6, "m": 3, "a": 1}},
+    {"kind": "sylow-wreath", "params": {"p": 2, "k": 4}},
+    {"kind": "sylow-wreath", "params": {"p": 3, "k": 2}},
+    {"kind": "wreath-polynomial", "params": {"p": 2, "u": 3, "v": 3, "c": 4}},
+    {"kind": "wreath-polynomial", "params": {"p": 2, "u": 2, "v": 4, "c": 3}},
+    {"kind": "wreath-polynomial", "params": {"p": 3, "u": 1, "v": 2, "c": 3}},
+    {"kind": "dihedral-abelian", "params": {"k": 6, "c": 4}},
+    {"kind": "dihedral-abelian", "params": {"k": 6, "c": 5}},
+    MIXED_PRODUCT,
+    {"kind": "wreath-polynomial", "params": {"p": 2, "u": 3, "v": 3, "c": 3}},
+]
+
 
 def naive_closure(degree: int, gens, limit: int = NAIVE_CLOSURE_LIMIT) -> set[tuple[int, ...]]:
     """All products of the generators, as image tuples (oracle for order and

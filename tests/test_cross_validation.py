@@ -25,7 +25,7 @@ from nilbound.constructions import (
 from nilbound.perm import PermGroup, Permutation, center, lower_central_series
 from nilbound.search import enumerate_subgroups
 
-from conftest import abelian_groups
+from conftest import WITNESS_BLUEPRINTS, abelian_groups, assert_chain_verified, build_corpus
 
 
 def to_sympy(group):
@@ -37,6 +37,12 @@ def to_sympy(group):
 def test_corpus_orders_match(corpus):
     for name, G in corpus:
         assert G.order() == to_sympy(G).order(), name
+
+
+def test_corpus_series_profiles_match(corpus):
+    for name, G in corpus:
+        ours = lower_central_series(G).order_profile()
+        assert ours == [t.order() for t in to_sympy(G).lower_central_series()], name
 
 
 def test_large_tower_order_and_class():
@@ -175,3 +181,50 @@ def test_tower_series_profiles_match(p, k, cls):
     theirs = [t.order() for t in to_sympy(W).lower_central_series()]
     assert ours.order_profile() == theirs
     assert ours.nilpotency_class == len(theirs) - 1 == cls
+
+
+def adjoin_groups(source):
+    """The nilpotent groups whose chains the push loop grows, by source."""
+    if source == "corpus":
+        return [G for name, G in build_corpus() if name != "S3"]
+    if source == "center-blueprints":
+        return [realize(blueprint_from_json({"kind": k, "params": v})) for k, v in CENTER_BLUEPRINTS.items()]
+    if source == "witness":
+        return [realize(blueprint_from_json(bp)) for bp in WITNESS_BLUEPRINTS]
+    return list(enumerate_subgroups(iterated_wreath_sylow(*source), dedupe="set"))
+
+
+@pytest.mark.parametrize(
+    "source, count",
+    [("corpus", 28), ("center-blueprints", 5), ("witness", 11), ((2, 2), 10), ((2, 3), 576), ((3, 2), 50)],
+    ids=["corpus", "center-blueprints", "witness", "tower(2,2)", "tower(2,3)", "tower(3,2)"],
+)
+def test_adjoin_chains_are_verified(monkeypatch, source, count):
+    # every chain the push loop grows for G, its series terms and its
+    # center passes the from-scratch oracle with the generators of the
+    # group that keeps it; G's order and series profile match sympy's
+    chains = []
+    real_close = perm._close
+
+    def close(levels, *args):
+        if all(levels is not seen for seen in chains):
+            chains.append(levels)
+        return real_close(levels, *args)
+
+    groups = adjoin_groups(source)
+    assert len(groups) == count
+    monkeypatch.setattr(perm, "_close", close)
+    for G in groups:
+        G = PermGroup(G.degree, G.generators)  # no chain yet
+        chains.clear()
+        series = lower_central_series(G)
+        kept = [G, *series.terms]
+        if G.order() <= perm.ELEMENT_LIMIT:
+            kept.append(center(G))
+        generators = {id(H._levels()): H.generators for H in kept}
+        assert G.order() <= 1 or chains, G.generators
+        for levels in chains:
+            assert id(levels) in generators, G.generators
+            assert_chain_verified(levels, generators[id(levels)])
+        theirs = to_sympy(G).lower_central_series()
+        assert series.order_profile() == [t.order() for t in theirs], G.generators

@@ -13,6 +13,7 @@ from nilbound.constructions import (
     affine_unitriangular,
     dihedral_times_abelian,
     iterated_wreath_sylow,
+    blueprint_from_json,
     make_blueprint,
     product_action,
     realize,
@@ -35,7 +36,9 @@ from nilbound.perm import (
 from nilbound.search import enumerate_subgroups
 
 from conftest import (
+    MIXED_PRODUCT,
     NAIVE_CLOSURE_LIMIT,
+    WITNESS_BLUEPRINTS,
     abelian_groups,
     assert_chain_verified,
     build_corpus,
@@ -106,6 +109,16 @@ class TestPermutation:
         assert Permutation.from_cycles(3, (2, 1)).images == (0, 2, 1)
         with pytest.raises(ValueError, match=f"point {point} out of range for degree 3"):
             Permutation.from_cycles(3, (point, 1))
+
+    @pytest.mark.parametrize("cycles", [((0, 1), (1, 2)), ((1, 2, 1),)], ids=["two-cycles", "one-cycle"])
+    def test_from_cycles_refuses_a_repeated_point(self, cycles):
+        with pytest.raises(ValueError, match="^point 1 is repeated in the cycles$"):
+            Permutation.from_cycles(3, *cycles)
+
+    @pytest.mark.parametrize("point", [1.0, "1", True])
+    def test_from_cycles_refuses_a_non_integer_point(self, point):
+        with pytest.raises(ValueError, match=f"^point {point!r} is not an integer$"):
+            Permutation.from_cycles(3, (0, point))
 
     @pytest.mark.parametrize("other", [3, None, (1, 0)])
     def test_order_against_non_permutation_is_a_type_error(self, other):
@@ -453,6 +466,90 @@ class TestChainOracle:
             assert sifted[id(levels)] == non_tree, [level.point for level in levels]
 
 
+@pytest.fixture
+def schreier_only(monkeypatch):
+    # the push loop gives up at once, as on a group that is not nilpotent
+    monkeypatch.setattr(perm, "_close", lambda *args: False)
+
+
+@pytest.mark.usefixtures("schreier_only")
+class TestChainOracleOnSchreierSims(TestChainOracle):
+    """TestChainOracle again with the push loop switched off, so every
+    chain, normal closure and series term of the corpus is grown by the
+    Schreier-Sims fallback."""
+
+
+def realize_json(blueprint: dict) -> PermGroup:
+    return realize(blueprint_from_json(blueprint))
+
+
+class TestAdjoinPath:
+    """Nilpotent groups grow their chains by index-p adjoins; other groups
+    fall back to Schreier-Sims."""
+
+    def test_nilpotent_groups_need_no_schreier_sims(self, monkeypatch):
+        groups = [(name, G) for name, G in build_corpus() if name != "S3"]
+        groups += [(json.dumps(bp), realize_json(bp)) for bp in WITNESS_BLUEPRINTS]
+
+        def refuse(*args):
+            raise AssertionError("_build_chain ran on a nilpotent group")
+
+        monkeypatch.setattr(perm, "_build_chain", refuse)
+        for name, G in groups:
+            G = PermGroup(G.degree, G.generators)  # no chain yet
+            series = lower_central_series(G)
+            assert series.nilpotency_class is not None, name
+            if G.order() <= NAIVE_CLOSURE_LIMIT:
+                assert G.order() == len(naive_closure(G.degree, G.generators)), name
+                Z = center(G)
+                assert Z.order() == len(naive_closure(G.degree, Z.generators)), name
+            elif G.order() <= perm.ELEMENT_LIMIT:
+                center(G).order()
+        mixed = PermGroup(72, realize_json(MIXED_PRODUCT).generators)
+        assert mixed.order() == 3**3 * 2**7
+        assert lower_central_series(mixed).order_profile() == [3456, 48, 4, 2, 1]
+        assert center(mixed).order() == 3 * 2
+
+    @pytest.mark.parametrize(
+        "gens, profile",
+        [
+            ([(1, 2, 0), (1, 0, 2)], [6, 3]),
+            ([(1, 2, 0, 3), (0, 2, 3, 1)], [12, 4]),
+            ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], [120, 60]),
+        ],
+        ids=["S3", "A4", "S5"],
+    )
+    def test_non_nilpotent_groups_fall_back(self, monkeypatch, gens, profile):
+        gave_up, built = [], []
+        real_close, real_build = perm._close, perm._build_chain
+
+        def close(*args):
+            done = real_close(*args)
+            gave_up.append(not done)
+            return done
+
+        def build(*args):
+            built.append(args[0])
+            return real_build(*args)
+
+        monkeypatch.setattr(perm, "_close", close)
+        monkeypatch.setattr(perm, "_build_chain", build)
+        G = PermGroup(len(gens[0]), [Permutation(g) for g in gens])
+        assert {g.images for g in G.elements()} == naive_closure(G.degree, G.generators)
+        assert any(gave_up) and G._levels() in built
+        series = lower_central_series(G)
+        assert series.nilpotency_class is None and series.order_profile() == profile
+        for term in series.terms:
+            assert {g.images for g in term.elements()} == naive_closure(G.degree, term.generators)
+        # oracle: the closure of every conjugate of the first generator
+        gave_up.clear()
+        N = G.normal_closure([G.generators[0]])
+        assert any(gave_up)
+        assert {g.images for g in N.elements()} == naive_closure(
+            G.degree, [G.generators[0].conjugate(g) for g in G.elements()]
+        )
+
+
 class TestCenter:
     def test_abelian_center_is_whole_group(self):
         G = klein_four()
@@ -596,7 +693,7 @@ class TestEngineInvariants:
         for G in groups:
             for g in G.elements():
                 digest.update(f"{g.images}\n".encode())
-        assert digest.hexdigest() == "72a1ecc33ac78ae2553a2c629fbd0f35ab5edde37f7be1d1cf89fe6f7c4c54a7"
+        assert digest.hexdigest() == "8912cf4d9972f01c8563c68bc4585acf5de9be59b76116563df488539e44edf9"
 
     def test_abelian_transitive_implies_regular(self, corpus):
         for name, G in corpus:
