@@ -4,13 +4,18 @@ Points are 0-indexed and actions are on the right: ``g(point)`` is the image
 of a point and ``a * b`` means "apply a, then b".  Group order and membership
 come from a deterministic base/strong-generating-set chain (no random
 Schreier-Sims), built once per group on first demand; a normal closure or a
-series term keeps the chain grown for it.  Nilpotent groups grow their
-chains by index-p adjoins (Sims 1990; Seress, "Permutation Group
-Algorithms", 2003, ch. 7), which sift no Schreier generator, so a p-group's
-closure N keeps exactly log_p |N| generators, one per adjoin.  Other groups,
-and point stabilizers, use incremental Schreier-Sims: transversals only gain
-points, and a chain is verified data between calls, so each call sifts only
-the Schreier generators with a new point or a new strong generator.  A chain
+series term keeps the chain grown for it.  Nilpotent groups and their
+point stabilizers grow their chains by index-p adjoins (Sims 1990; Seress,
+"Permutation Group Algorithms", 2003, ch. 7), which sift no Schreier
+generator, so a p-group's closure N keeps exactly log_p |N| generators, one
+per adjoin.  The generators that seed a nilpotent G's chain are its normal
+generators Y, which generate G: closures in G conjugate by Y alone, and
+the lower central series seeds each term with the commutators of Y and the
+seeds that closed the term before (Holt, Eick & O'Brien, "Handbook of
+Computational Group Theory", 2005).  Other groups use incremental
+Schreier-Sims: transversals only gain points, and a chain is verified data
+between calls, so each call sifts only the Schreier generators with a new
+point or a new strong generator.  A chain
 attached to a group is never mutated afterwards, so groups are safe to share
 across threads.  Products run in C, ``a * b`` as ``itemgetter(*a)(b)`` on
 the image tuples, and the identity test compares with the images of one
@@ -349,8 +354,9 @@ def _close(
     """Grow levels, the verified chain of a normal subgroup M of G, to that
     of the normal closure of <M, seed> (seed in G), appending each adjoined
     element to adjoined; conjugators holds (g^-1, g) for g in G that with M
-    generate G.  False, with levels still a chain of a normal subgroup, when
-    the loop proves G is not nilpotent.
+    generate G, such as G's normal generators (a g in M may be left out:
+    [w, g] lies in M).  False, with levels still a chain of a normal
+    subgroup, when the loop proves G is not nilpotent.
 
     The top w of a stack started at the seed is adjoined once w^q (q the
     least prime dividing w's order) and every [w, g] lie in M: then wM is
@@ -398,6 +404,25 @@ def _close(
     return True
 
 
+def _worklist_closure(
+    levels: list[_Level],
+    conjugators: list[tuple[Permutation, Permutation]],
+    seed: Permutation,
+    adjoined: list[Permutation],
+) -> bool:
+    """_close by Schreier-Sims, for any G: a candidate that sifts through
+    the chain is dropped; any other is appended to adjoined, extends the
+    chain and queues its conjugates g^-1 h g.  Always True."""
+    queue = collections.deque([seed])
+    while queue:
+        h = queue.popleft()
+        if not _sift(levels, h).is_identity():
+            adjoined.append(h)
+            _build_chain(levels, h.degree, (h,))
+            queue.extend(g_inv * h * g for g_inv, g in conjugators)
+    return True
+
+
 class PermGroup:
     """A permutation group given by generators of one common degree."""
 
@@ -411,6 +436,7 @@ class PermGroup:
         self._degree = degree
         self._generators = generators
         self._chain: list[_Level] | None = None
+        self._normal: Sequence[Permutation] = generators
         self._lock = threading.Lock()
 
     @property
@@ -429,20 +455,39 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    chain = self._nilpotent_chain()
-                    self._chain = _build_chain([], self._degree, self._generators) if chain is None else chain
+                    first = next((g for g in self._generators if not g.is_identity()), None)
+                    levels = [] if first is None else [_Level(_least_moved(first), self.identity)]
+                    normal: list[Permutation] = []
+                    if not self._nilpotent_chain(levels, normal):
+                        levels, normal = _build_chain([], self._degree, self._generators), list(self._generators)
+                    self._normal, self._chain = normal, levels
         return self._chain
 
-    def _nilpotent_chain(self) -> list[_Level] | None:
-        """The chain by adjoins, seeded with the generators in turn and based
-        where _build_chain would base it; None if the push loop proves self
-        is not nilpotent."""
-        first = next((g for g in self._generators if not g.is_identity()), None)
-        levels = [] if first is None else [_Level(_least_moved(first), self.identity)]
+    def _nilpotent_chain(self, levels: list[_Level], normal: list[Permutation]) -> bool:
+        """Grow levels, base points with no generators yet, to a chain of
+        self by adjoins, seeded in turn with each generator not in the
+        closure M so far and appending it to normal; a generator in M is
+        dropped from the conjugators.  False if the push loop proves self
+        is not nilpotent.
+
+        The seeds are self's normal generators Y: their normal closure is
+        self, so for nilpotent self they generate it (G' lies in the
+        Frattini subgroup), and closures in self conjugate by them."""
         conjugators = [(g.inverse(), g) for g in self._generators]
-        if all(_close(levels, conjugators, g, []) for g in self._generators):
-            return levels
-        return None
+        for seed in self._generators:
+            if _sift(levels, seed).is_identity():
+                continue
+            normal.append(seed)
+            if not _close(levels, conjugators, seed, []):
+                return False
+            conjugators = [(g_inv, g) for g_inv, g in conjugators if not _sift(levels, g).is_identity()]
+        return True
+
+    def _normal_generators(self) -> Sequence[Permutation]:
+        """Elements whose normal closure is self and which generate it: the
+        normal generators Y for nilpotent self, else all the generators."""
+        self._levels()
+        return self._normal
 
     def order(self) -> int:
         n = 1
@@ -494,11 +539,15 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> PermGroup:
         """The subgroup fixing point: the levels below the first of a chain
-        based at point, kept as the subgroup's chain."""
+        based at point, kept as the subgroup's chain.  The chain grows by
+        adjoins, as self's own does, or by Schreier-Sims if self is not
+        nilpotent."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
-        levels = _build_chain([_Level(point, self.identity)], self._degree, self._generators)[1:]
-        return _group_on(self._degree, [g for level in levels for g in level.gens], levels)
+        levels = [_Level(point, self.identity)]
+        if not self._nilpotent_chain(levels, []):
+            levels = _build_chain([_Level(point, self.identity)], self._degree, self._generators)
+        return _group_on(self._degree, [g for level in levels[1:] for g in level.gens], levels[1:])
 
     def elements(self) -> list[Permutation]:
         """All group elements; raises GuardExceeded when order > ELEMENT_LIMIT."""
@@ -513,43 +562,36 @@ class PermGroup:
         """Smallest normal subgroup of self containing the seeds.
 
         _close grows its chain by adjoins, one generator per adjoin, so a
-        p-group's closure N keeps exactly log_p |N| generators.  A seed that
-        sifts through the chain is dropped; any other is checked against
-        self first.  If self is not nilpotent, _worklist_closure restarts."""
+        p-group's closure N keeps exactly log_p |N| generators, and it
+        conjugates by self's normal generators.  A seed that sifts through
+        the chain is dropped; any other is checked against self first.  If
+        self is not nilpotent, _worklist_closure restarts."""
+        return self._closure(seeds)[0]
+
+    def _closure(self, seeds: Sequence[Permutation]) -> tuple[PermGroup, list[Permutation]]:
+        """The normal closure of the seeds and the seeds it closed, those
+        not in the closure of the seeds before them: the same group is
+        their normal closure."""
         for s in seeds:
             if not isinstance(s, Permutation) or s.degree != self._degree:
                 raise GroupError("seed is not a member of the group")
-        conjugators = [(g.inverse(), g) for g in self._generators]
-        gens: list[Permutation] = []
-        levels: list[_Level] = []
-        for h in seeds:
-            if _sift(levels, h).is_identity():
-                continue
-            if h not in self:
-                raise GroupError("seed is not a member of the group")
-            if not _close(levels, conjugators, h, gens):
-                return self._worklist_closure(seeds, conjugators)
-        return _group_on(self._degree, gens, levels)
+        conjugators = [(g.inverse(), g) for g in self._normal_generators()]
 
-    def _worklist_closure(
-        self, seeds: Sequence[Permutation], conjugators: list[tuple[Permutation, Permutation]]
-    ) -> PermGroup:
-        """The normal closure by Schreier-Sims: a candidate that sifts
-        through the chain is dropped; any other is sifted into self, becomes
-        a generator, extends the chain and queues its conjugates g^-1 h g."""
-        gens: list[Permutation] = []
-        levels: list[_Level] = []
-        queue = collections.deque(seeds)
-        while queue:
-            h = queue.popleft()
-            if _sift(levels, h).is_identity():
-                continue
-            if h not in self:
-                raise GroupError("seed is not a member of the group")
-            gens.append(h)
-            _build_chain(levels, self._degree, (h,))
-            queue.extend(g_inv * h * g for g_inv, g in conjugators)
-        return _group_on(self._degree, gens, levels)
+        def grow(close) -> tuple[PermGroup, list[Permutation]] | None:
+            gens: list[Permutation] = []
+            levels: list[_Level] = []
+            closed: list[Permutation] = []
+            for h in seeds:
+                if _sift(levels, h).is_identity():
+                    continue
+                if h not in self:
+                    raise GroupError("seed is not a member of the group")
+                closed.append(h)
+                if not close(levels, conjugators, h, gens):
+                    return None
+            return _group_on(self._degree, gens, levels), closed
+
+        return grow(_close) or grow(_worklist_closure)
 
     # -- serialization ----------------------------------------------------
 
@@ -610,24 +652,28 @@ class CentralSeries:
         return [t.order() for t in self.terms]
 
 
-def _commutators(A: PermGroup, B: PermGroup) -> list[Permutation]:
-    """The non-identity commutators [a, b] = a^-1 b^-1 a b of generator
-    pairs, a-major, inverting each generator once."""
-    a_pairs = [(a.inverse(), a) for a in A.generators]
-    b_pairs = [(b.inverse(), b) for b in B.generators]
-    seeds = (ai * bi * a * b for ai, a in a_pairs for bi, b in b_pairs)
+def _commutators(xs: Sequence[Permutation], ys: Sequence[Permutation]) -> list[Permutation]:
+    """The non-identity commutators [x, y] = x^-1 y^-1 x y, x-major,
+    inverting each element once."""
+    x_pairs = [(x.inverse(), x) for x in xs]
+    y_pairs = [(y.inverse(), y) for y in ys]
+    seeds = (xi * yi * x * y for xi, x in x_pairs for yi, y in y_pairs)
     return [s for s in seeds if not s.is_identity()]
 
 
 def lower_central_series(G: PermGroup) -> CentralSeries:
-    """Iterate term[i+1] = [term[i], G] until the series stabilizes.  Each
-    term is normal in G, so [term, G] is the normal closure in G of the
-    generator commutators, grown by adjoins for nilpotent G (a p-group's
+    """Iterate term[i+1] = [term[i], G] until the series stabilizes.
+
+    With Y the normal generators of G (G = <Y>) and term[i] the normal
+    closure of X_i, [term[i], G] is the normal closure of the commutators
+    [x, y], x in X_i, y in Y; X_0 = Y, and X_(i+1) is the commutators that
+    closure closed.  It is grown by adjoins for nilpotent G (a p-group's
     term N keeps exactly log_p |N| generators)."""
+    ys = xs = G._normal_generators()
     terms = [G]
     while terms[-1].order() > 1:
         current = terms[-1]
-        nxt = G.normal_closure(_commutators(current, G))
+        nxt, xs = G._closure(_commutators(xs, ys))
         if nxt.order() == current.order():
             # stalled above the trivial group
             return CentralSeries(tuple(terms), None)

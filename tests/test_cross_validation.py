@@ -183,6 +183,28 @@ def test_tower_series_profiles_match(p, k, cls):
     assert ours.nilpotency_class == len(theirs) - 1 == cls
 
 
+def relistings(G):
+    """G's generators listed again: each twice, after the identity, and
+    with the product of each and the next inserted after it."""
+    gens = G.generators
+    products = [x for i, g in enumerate(gens) for x in (g, g * gens[(i + 1) % len(gens)])]
+    return [[g for g in gens for _ in range(2)], [G.identity, *gens], products]
+
+
+def test_relisted_generators_keep_the_series_and_the_center(corpus):
+    # the normal generators, and with them the series seeds and the
+    # closures' conjugators, depend on how the generators are listed; the
+    # series profile and the center must not
+    for name, G in corpus:
+        sym = to_sympy(G)
+        profile = [t.order() for t in sym.lower_central_series()]
+        center_order = sym.center().order()
+        for gens in relistings(G):
+            H = PermGroup(G.degree, gens)
+            assert lower_central_series(H).order_profile() == profile, (name, len(gens))
+            assert center(H).order() == center_order, (name, len(gens))
+
+
 def adjoin_groups(source):
     """The nilpotent groups whose chains the push loop grows, by source."""
     if source == "corpus":

@@ -516,8 +516,10 @@ class TestAdjoinPath:
             ([(1, 2, 0), (1, 0, 2)], [6, 3]),
             ([(1, 2, 0, 3), (0, 2, 3, 1)], [12, 4]),
             ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], [120, 60]),
+            # the 4-cycle's normal closure is S4, yet it generates only C4
+            ([(1, 2, 3, 0), (1, 0, 2, 3)], [24, 12]),
         ],
-        ids=["S3", "A4", "S5"],
+        ids=["S3", "A4", "S5", "S4"],
     )
     def test_non_nilpotent_groups_fall_back(self, monkeypatch, gens, profile):
         gave_up, built = [], []
@@ -548,6 +550,26 @@ class TestAdjoinPath:
         assert {g.images for g in N.elements()} == naive_closure(
             G.degree, [G.generators[0].conjugate(g) for g in G.elements()]
         )
+
+
+    def test_normal_generators_generate_the_group(self):
+        # the generators that seeded G's chain: a subsequence of G's
+        # generators whose normal closure is G, which G's nilpotency makes
+        # G itself; the degree-64 wreath/polynomial groups, with 27, 26 and
+        # 24 generators, need only 6, 16 and 12
+        groups = [(name, G) for name, G in build_corpus() if name != "S3"]
+        groups += [(json.dumps(bp), realize_json(bp)) for bp in WITNESS_BLUEPRINTS]
+        fewer = 0
+        for name, G in groups:
+            Y = G._normal_generators()
+            rest = iter(G.generators)
+            assert all(any(y is g for g in rest) for y in Y), name
+            if G.order() <= NAIVE_CLOSURE_LIMIT:
+                assert len(naive_closure(G.degree, Y)) == G.order(), name
+            else:
+                assert PermGroup(G.degree, Y).order() == G.order(), name
+            fewer += len(G.generators) - len(Y)
+        assert fewer >= 21 + 10 + 12
 
 
 class TestCenter:
