@@ -122,7 +122,7 @@ def _load_group(value: str) -> PermGroup:
 def cmd_analyze(args: argparse.Namespace) -> int:
     group = _load_group(args.group)
     # the degrees construct realizes; an n-cycle takes ~4x as long per doubling of n
-    # (0.007 s at 256, 0.33 s at 2048, in process): the first level of its chain
+    # (0.005 s at 256, 0.21 s at 2048, in process): the first level of its chain
     # holds n transversal elements of degree n and their inverses, one product each
     if group.degree > DEGREE_GUARD:
         raise GuardExceeded(f"analyze of degree {group.degree} is over the limit {DEGREE_GUARD}")

@@ -3,24 +3,26 @@
 Points are 0-indexed and actions are on the right: ``g(point)`` is the image
 of a point and ``a * b`` means "apply a, then b".  Group order and membership
 come from a deterministic base/strong-generating-set chain (no random
-Schreier-Sims), built once per group on first demand; a normal closure or a
-series term keeps the chain grown for it.  Nilpotent groups and their
-point stabilizers grow their chains by index-p adjoins (Sims 1990; Seress,
-"Permutation Group Algorithms", 2003, ch. 7), which sift no Schreier
-generator, so a p-group's closure N keeps exactly log_p |N| generators, one
-per adjoin.  The generators that seed a nilpotent G's chain are its normal
-generators Y, which generate G: closures in G conjugate by Y alone, and
-the lower central series seeds each term with the commutators of Y and the
-seeds that closed the term before (Holt, Eick & O'Brien, "Handbook of
-Computational Group Theory", 2005).  Other groups use incremental
-Schreier-Sims: transversals only gain points, and a chain is verified data
-between calls, so each call sifts only the Schreier generators with a new
-point or a new strong generator.  A chain
-attached to a group is never mutated afterwards, so groups are safe to share
-across threads.  Products run in C, ``a * b`` as ``itemgetter(*a)(b)`` on
-the image tuples, and the identity test compares with the images of one
-cached identity per degree.  Past order ``ELEMENT_LIMIT``, a group's element
-list and its center are refused.
+Schreier-Sims), built once per group on first demand; a normal closure, a
+series term or a point stabilizer keeps the chain grown for it.  G's own
+chain build picks the engine for every chain in G: if the push loop grows
+it by index-p adjoins (Sims 1990; Seress, "Permutation Group Algorithms",
+2003, ch. 7), which sift no Schreier generator, G and its subgroups are
+nilpotent and grow that way, so a p-group's closure N keeps exactly
+log_p |N| generators; else G uses incremental Schreier-Sims (a chain is
+verified data between calls, so a call sifts only the Schreier generators
+with a new point or strong generator) and its closures a worklist.  A
+nilpotent G's chain is seeded by its normal generators Y, which generate
+G: closures conjugate by Y alone, and the lower central series seeds each
+term with the commutators of Y and the seeds that closed the term before
+(Holt, Eick & O'Brien, "Handbook of Computational Group Theory", 2005).
+normal_closure checks its seeds against G; the series and the center pass
+members of G, which are not checked again.  A chain attached to a group is
+never mutated afterwards, though a point stabilizer may share its levels, so
+groups are safe to share across threads.  Products run in C, ``a * b`` as
+``itemgetter(*a)(b)`` on the image tuples, and the identity test compares
+with the images of one cached identity per degree.  Past order
+``ELEMENT_LIMIT``, a group's element list and its center are refused.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def _least_moved(g: Permutation) -> int:
     return next(x for x, y in enumerate(g.images) if x != y)
 
 
-def _build_chain(levels: list[_Level], degree: int, generators: Iterable[Permutation]) -> list[_Level]:
+def _build_chain(levels: list[_Level], generators: Iterable[Permutation]) -> list[_Level]:
     """Deterministic incremental Schreier-Sims: extend levels, a verified
     chain that no group holds yet ([] or base points with no generators), by
     generators.
@@ -418,7 +420,7 @@ def _worklist_closure(
         h = queue.popleft()
         if not _sift(levels, h).is_identity():
             adjoined.append(h)
-            _build_chain(levels, h.degree, (h,))
+            _build_chain(levels, (h,))
             queue.extend(g_inv * h * g for g_inv, g in conjugators)
     return True
 
@@ -437,6 +439,7 @@ class PermGroup:
         self._generators = generators
         self._chain: list[_Level] | None = None
         self._normal: Sequence[Permutation] = generators
+        self._engine = _close  # grows every chain in self; _levels may pick the worklist
         self._lock = threading.Lock()
 
     @property
@@ -459,16 +462,16 @@ class PermGroup:
                     levels = [] if first is None else [_Level(_least_moved(first), self.identity)]
                     normal: list[Permutation] = []
                     if not self._nilpotent_chain(levels, normal):
-                        levels, normal = _build_chain([], self._degree, self._generators), list(self._generators)
+                        levels, normal, self._engine = _build_chain([], self._generators), list(self._generators), _worklist_closure
                     self._normal, self._chain = normal, levels
         return self._chain
 
     def _nilpotent_chain(self, levels: list[_Level], normal: list[Permutation]) -> bool:
         """Grow levels, base points with no generators yet, to a chain of
-        self by adjoins, seeded in turn with each generator not in the
-        closure M so far and appending it to normal; a generator in M is
-        dropped from the conjugators.  False if the push loop proves self
-        is not nilpotent.
+        self by adjoins of self's engine, the push loop, seeded in turn with
+        each generator not in the closure M so far and appending it to
+        normal; a generator in M is dropped from the conjugators.  False if
+        the push loop proves self is not nilpotent.
 
         The seeds are self's normal generators Y: their normal closure is
         self, so for nilpotent self they generate it (G' lies in the
@@ -478,7 +481,7 @@ class PermGroup:
             if _sift(levels, seed).is_identity():
                 continue
             normal.append(seed)
-            if not _close(levels, conjugators, seed, []):
+            if not self._engine(levels, conjugators, seed, []):
                 return False
             conjugators = [(g_inv, g) for g_inv, g in conjugators if not _sift(levels, g).is_identity()]
         return True
@@ -539,15 +542,19 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> PermGroup:
         """The subgroup fixing point: the levels below the first of a chain
-        based at point, kept as the subgroup's chain.  The chain grows by
-        adjoins, as self's own does, or by Schreier-Sims if self is not
-        nilpotent."""
+        based at point, kept as the subgroup's chain: self's own, if based
+        at point, else one grown by self's engine (adjoins if self's chain
+        build showed self is nilpotent, else Schreier-Sims, never both)."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
-        levels = [_Level(point, self.identity)]
-        if not self._nilpotent_chain(levels, []):
-            levels = _build_chain([_Level(point, self.identity)], self._degree, self._generators)
-        return _group_on(self._degree, [g for level in levels[1:] for g in level.gens], levels[1:])
+        levels = self._levels()
+        if not levels or levels[0].point != point:
+            levels = [_Level(point, self.identity)]
+            if self._engine is _worklist_closure:
+                _build_chain(levels, self._generators)
+            elif not self._nilpotent_chain(levels, []):
+                raise RuntimeError("the push loop gave up in a group whose chain it built")
+        return _group_on(self, [g for level in levels[1:] for g in level.gens], levels[1:])
 
     def elements(self) -> list[Permutation]:
         """All group elements; raises GuardExceeded when order > ELEMENT_LIMIT."""
@@ -559,39 +566,31 @@ class PermGroup:
         return products
 
     def normal_closure(self, seeds: Sequence[Permutation]) -> PermGroup:
-        """Smallest normal subgroup of self containing the seeds.
-
-        _close grows its chain by adjoins, one generator per adjoin, so a
-        p-group's closure N keeps exactly log_p |N| generators, and it
-        conjugates by self's normal generators.  A seed that sifts through
-        the chain is dropped; any other is checked against self first.  If
-        self is not nilpotent, _worklist_closure restarts."""
+        """Smallest normal subgroup of self containing the seeds, each
+        checked against self first.  The engine self's chain build picked
+        grows it: _close by adjoins for nilpotent self, so a p-group's
+        closure N keeps exactly log_p |N| generators, else _worklist_closure;
+        both conjugate by self's normal generators."""
+        if not all(s in self for s in seeds):
+            raise GroupError("seed is not a member of the group")
         return self._closure(seeds)[0]
 
     def _closure(self, seeds: Sequence[Permutation]) -> tuple[PermGroup, list[Permutation]]:
-        """The normal closure of the seeds and the seeds it closed, those
-        not in the closure of the seeds before them: the same group is
-        their normal closure."""
-        for s in seeds:
-            if not isinstance(s, Permutation) or s.degree != self._degree:
-                raise GroupError("seed is not a member of the group")
+        """The normal closure of the seeds, members of self not checked
+        again, and the seeds it closed (those outside the closure of the
+        ones before, for which the engine adjoined): one pass of the engine
+        self's chain build picked, so the push loop cannot give up."""
         conjugators = [(g.inverse(), g) for g in self._normal_generators()]
-
-        def grow(close) -> tuple[PermGroup, list[Permutation]] | None:
-            gens: list[Permutation] = []
-            levels: list[_Level] = []
-            closed: list[Permutation] = []
-            for h in seeds:
-                if _sift(levels, h).is_identity():
-                    continue
-                if h not in self:
-                    raise GroupError("seed is not a member of the group")
+        gens: list[Permutation] = []
+        levels: list[_Level] = []
+        closed: list[Permutation] = []
+        for h in seeds:
+            adjoined = len(gens)
+            if not self._engine(levels, conjugators, h, gens):
+                raise RuntimeError("the push loop gave up in a group whose chain it built")
+            if len(gens) > adjoined:
                 closed.append(h)
-                if not close(levels, conjugators, h, gens):
-                    return None
-            return _group_on(self._degree, gens, levels), closed
-
-        return grow(_close) or grow(_worklist_closure)
+        return _group_on(self, gens, levels), closed
 
     # -- serialization ----------------------------------------------------
 
@@ -626,11 +625,12 @@ class PermGroup:
         return f"PermGroup(degree={self._degree}, ngens={len(self._generators)})"
 
 
-def _group_on(degree: int, gens: list[Permutation], levels: list[_Level]) -> PermGroup:
-    """The group generated by gens, keeping levels, a verified chain of it,
-    as its own."""
-    group = PermGroup(degree, gens)
-    group._chain = levels
+def _group_on(parent: PermGroup, gens: list[Permutation], levels: list[_Level]) -> PermGroup:
+    """The subgroup of parent generated by gens, keeping levels, a verified
+    chain of it, and parent's engine: a subgroup of a nilpotent group is
+    nilpotent, and the worklist serves any group."""
+    group = PermGroup(parent.degree, gens)
+    group._engine, group._chain = parent._engine, levels
     return group
 
 
@@ -738,4 +738,4 @@ def center(G: PermGroup) -> PermGroup:
             for z in G.elements()
             if not z.is_identity() and all(z * g == g * z for g in G.generators)
         ]
-    return G.normal_closure(central)
+    return G._closure(central)[0]

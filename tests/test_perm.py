@@ -209,6 +209,15 @@ class TestOrbitsAndStabilizers:
             for point in range(G.degree):
                 assert G.point_stabilizer(point).order() == 1
 
+    def test_stabilizer_at_the_first_base_point_keeps_the_chain(self, corpus):
+        # G's chain is based at that point, so its levels below the first
+        # are the stabilizer's chain: none is grown again
+        for name, G in corpus:
+            levels = G._levels()
+            if levels:
+                S = G.point_stabilizer(levels[0].point)
+                assert all(a is b for a, b in zip(S._levels(), levels[1:], strict=True)), name
+
     def test_dihedral_stabilizer(self):
         # order 8, orbit 4, so the stabilizer has order 2
         G = iterated_wreath_sylow(2, 2)
@@ -269,6 +278,34 @@ class TestNormalClosureAndCommutators:
         r = G.generators[0]
         with pytest.raises(GroupError, match="seed is not a member of the group"):
             G.normal_closure([r, r * r, bad])
+
+    def test_series_and_center_do_not_retest_their_seeds(self, monkeypatch):
+        # the series seeds with commutators of members, and the center
+        # closes only candidates it has tested once each: no seed is
+        # checked against G again
+        groups = [G for _, G in build_corpus()] + [realize_json(bp) for bp in WITNESS_BLUEPRINTS]
+        tested = []
+        real_contains = PermGroup.__contains__
+
+        def contains(group, g):
+            tested.append(g)
+            return real_contains(group, g)
+
+        for G in groups:
+            G = PermGroup(G.degree, G.generators)  # no chain yet
+            candidates = 0
+            if not G.is_abelian() and G.is_transitive():
+                # one per point fixed by a point stabilizer, other than its own
+                stabilizer = G.point_stabilizer(0).generators
+                candidates = sum(all(s(t) == t for s in stabilizer) for t in range(1, G.degree))
+            monkeypatch.setattr(PermGroup, "__contains__", contains)
+            lower_central_series(G)
+            assert tested == [], G.generators
+            if G.order() <= perm.ELEMENT_LIMIT:
+                center(G)
+                assert len(tested) == candidates, G.generators
+            monkeypatch.undo()
+            tested.clear()
 
     def test_parent_group_is_left_unchanged(self):
         G = iterated_wreath_sylow(2, 3)
@@ -401,6 +438,7 @@ class TestChainOracle:
         "G", [iterated_wreath_sylow(2, 4), wreath_polynomial_group(2, 2, 2, 2)]
     )
     def test_series_terms_grown_one_generator_at_a_time(self, G):
+        G = PermGroup(G.degree, G.generators)  # no chain or engine yet
         for term in lower_central_series(G).terms[1:]:
             assert_chain_verified(term._levels(), term.generators)
             assert term.order() == PermGroup(term.degree, term.generators).order()
@@ -422,9 +460,10 @@ class TestChainOracle:
 
     def test_point_stabilizer_chains(self, corpus):
         for name, G in corpus:
+            G = PermGroup(G.degree, G.generators)  # no chain or engine yet
             for point in range(G.degree):
                 # the chain point_stabilizer grows, with its base fixed at point
-                levels = _build_chain([_Level(point, G.identity)], G.degree, G.generators)
+                levels = _build_chain([_Level(point, G.identity)], G.generators)
                 assert_chain_verified(levels, G.generators)
                 S = G.point_stabilizer(point)
                 assert S._chain is not None, (name, point)  # kept, not rebuilt
@@ -439,10 +478,10 @@ class TestChainOracle:
         chains, sifted = [], collections.Counter()
         real_build, real_sift = perm._build_chain, perm._sift
 
-        def build(levels, degree, generators):
+        def build(levels, generators):
             if all(levels is not seen for seen in chains):
                 chains.append(levels)
-            return real_build(levels, degree, generators)
+            return real_build(levels, generators)
 
         def sift(levels, h, start=0):
             if start >= 1:
@@ -468,15 +507,30 @@ class TestChainOracle:
 
 @pytest.fixture
 def schreier_only(monkeypatch):
-    # the push loop gives up at once, as on a group that is not nilpotent
+    # the push loop gives up at once, as on a group that is not nilpotent;
+    # a group keeps the engine it was made with, so this reaches only the
+    # groups made under it
     monkeypatch.setattr(perm, "_close", lambda *args: False)
 
 
 @pytest.mark.usefixtures("schreier_only")
 class TestChainOracleOnSchreierSims(TestChainOracle):
     """TestChainOracle again with the push loop switched off, so every
-    chain, normal closure and series term of the corpus is grown by the
-    Schreier-Sims fallback."""
+    chain, normal closure, series term and point stabilizer of the groups
+    each test makes is grown by the Schreier-Sims fallback."""
+
+
+def naive_series_profile(H: PermGroup) -> list[int]:
+    """Orders of H's lower central series, from element sets, up to the
+    first term that repeats."""
+    elements = H.elements()
+    term, profile = elements, [len(elements)]
+    while True:
+        commutators = {c.images: c for c in (commutator(x, g) for x in term for g in elements)}
+        term = [Permutation(t) for t in naive_closure(H.degree, commutators.values())]
+        if len(term) == profile[-1]:
+            return profile
+        profile.append(len(term))
 
 
 def realize_json(blueprint: dict) -> PermGroup:
@@ -543,13 +597,21 @@ class TestAdjoinPath:
         assert series.nilpotency_class is None and series.order_profile() == profile
         for term in series.terms:
             assert {g.images for g in term.elements()} == naive_closure(G.degree, term.generators)
-        # oracle: the closure of every conjugate of the first generator
+        # G's chain build picked the worklist, so no chain in G runs the
+        # push loop again: not the closure, nor the series terms, closures
+        # and stabilizers of G's subgroups, which must match the oracles
         gave_up.clear()
         N = G.normal_closure([G.generators[0]])
-        assert any(gave_up)
-        assert {g.images for g in N.elements()} == naive_closure(
-            G.degree, [G.generators[0].conjugate(g) for g in G.elements()]
-        )
+        assert gave_up == []
+        for H in [*series.terms, N, G.point_stabilizer(0)]:
+            x = H.generators[0]
+            closure = H.normal_closure([x])
+            assert {g.images for g in closure.elements()} == naive_closure(
+                H.degree, [x.conjugate(g) for g in H.elements()]
+            )
+            assert lower_central_series(H).order_profile() == naive_series_profile(H)
+            assert center(H).order() == sum(all(z * g == g * z for g in H.generators) for z in H.elements())
+        assert gave_up == []
 
 
     def test_normal_generators_generate_the_group(self):
