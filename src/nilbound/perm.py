@@ -3,25 +3,23 @@
 Points are 0-indexed and actions are on the right: ``g(point)`` is the image
 of a point and ``a * b`` means "apply a, then b".  Group order and membership
 come from a deterministic base/strong-generating-set chain (no random
-Schreier-Sims), built once per group on first demand; a normal closure, a
-series term or a point stabilizer keeps the chain grown for it.  G's own
-chain build picks the engine for every chain in G: if the push loop grows
-it by index-p adjoins (Sims 1990; Seress, "Permutation Group Algorithms",
-2003, ch. 7), which sift no Schreier generator, G and its subgroups are
-nilpotent and grow that way, so a p-group's closure N keeps exactly
-log_p |N| generators; else G uses incremental Schreier-Sims (a chain is
-verified data between calls, so a call sifts only the Schreier generators
-with a new point or strong generator) and its closures a worklist.  A
-nilpotent G's chain is seeded by its normal generators Y, which generate
-G: closures conjugate by Y alone, and the lower central series seeds each
-term with the commutators of Y and the seeds that closed the term before
-(Holt, Eick & O'Brien, "Handbook of Computational Group Theory", 2005).
-normal_closure checks its seeds against G; the series and the center pass
-members of G, which are not checked again.  A chain attached to a group is
-never mutated afterwards, though a point stabilizer may share its levels, so
-groups are safe to share across threads.  Products run in C, ``a * b`` as
-``itemgetter(*a)(b)`` on the image tuples, and the identity test compares
-with the images of one cached identity per degree.  Past order
+Schreier-Sims), built once per group on first demand; a series term or a
+center keeps the chain grown for it.  G's own chain build picks the engine
+for every chain in G: if the push loop grows it by index-p adjoins (Sims
+1990; Seress, "Permutation Group Algorithms", 2003, ch. 7), which sift no
+Schreier generator, G and its subgroups are nilpotent and grow that way, so
+a p-group's series term N keeps exactly log_p |N| generators; else G uses
+incremental Schreier-Sims (a chain is verified data between calls, so a call
+sifts only the Schreier generators with a new point or strong generator) and
+its closures a worklist.  A nilpotent G's chain is seeded by its normal
+generators Y, which generate G: closures conjugate by Y alone, and the lower
+central series seeds each term with the commutators of Y and the seeds that
+closed the term before (Holt, Eick & O'Brien, "Handbook of Computational
+Group Theory", 2005).  The series and the center close members of G, which
+are not checked again.  A chain attached to a group is never mutated
+afterwards, so groups are safe to share across threads.  Products run in C,
+``a * b`` as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
+compares with the images of one cached identity per degree.  Past order
 ``ELEMENT_LIMIT``, a group's element list and its center are refused.
 """
 
@@ -135,10 +133,6 @@ class Permutation:
             if n:
                 base = base * base
         return Permutation.identity(self.degree) if result is None else result
-
-    def conjugate(self, g: Permutation) -> Permutation:
-        """Return g^-1 * self * g."""
-        return g.inverse() * self * g
 
     def is_identity(self) -> bool:
         return self._images == Permutation.identity(len(self._images))._images
@@ -468,10 +462,10 @@ class PermGroup:
 
     def _nilpotent_chain(self, levels: list[_Level], normal: list[Permutation]) -> bool:
         """Grow levels, base points with no generators yet, to a chain of
-        self by adjoins of self's engine, the push loop, seeded in turn with
-        each generator not in the closure M so far and appending it to
-        normal; a generator in M is dropped from the conjugators.  False if
-        the push loop proves self is not nilpotent.
+        self by adjoins of the push loop, seeded in turn with each generator
+        not in the closure M so far and appending it to normal; a generator
+        in M is dropped from the conjugators.  False if the push loop proves
+        self is not nilpotent.
 
         The seeds are self's normal generators Y: their normal closure is
         self, so for nilpotent self they generate it (G' lies in the
@@ -481,7 +475,7 @@ class PermGroup:
             if _sift(levels, seed).is_identity():
                 continue
             normal.append(seed)
-            if not self._engine(levels, conjugators, seed, []):
+            if not _close(levels, conjugators, seed, []):
                 return False
             conjugators = [(g_inv, g) for g_inv, g in conjugators if not _sift(levels, g).is_identity()]
         return True
@@ -502,15 +496,6 @@ class PermGroup:
         if not isinstance(g, Permutation) or g.degree != self._degree:
             return False
         return _sift(self._levels(), g).is_identity()
-
-    def contains_group(self, other: PermGroup) -> bool:
-        """Whether every generator of other is a member (other <= self)."""
-        return other.degree == self._degree and all(
-            g in self for g in other.generators
-        )
-
-    def is_trivial(self) -> bool:
-        return all(g.is_identity() for g in self._generators)
 
     def is_abelian(self) -> bool:
         gens = self._generators
@@ -540,22 +525,6 @@ class PermGroup:
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order() == self._degree
 
-    def point_stabilizer(self, point: int) -> PermGroup:
-        """The subgroup fixing point: the levels below the first of a chain
-        based at point, kept as the subgroup's chain: self's own, if based
-        at point, else one grown by self's engine (adjoins if self's chain
-        build showed self is nilpotent, else Schreier-Sims, never both)."""
-        if not 0 <= point < self._degree:
-            raise ValueError(f"point {point} out of range for degree {self._degree}")
-        levels = self._levels()
-        if not levels or levels[0].point != point:
-            levels = [_Level(point, self.identity)]
-            if self._engine is _worklist_closure:
-                _build_chain(levels, self._generators)
-            elif not self._nilpotent_chain(levels, []):
-                raise RuntimeError("the push loop gave up in a group whose chain it built")
-        return _group_on(self, [g for level in levels[1:] for g in level.gens], levels[1:])
-
     def elements(self) -> list[Permutation]:
         """All group elements; raises GuardExceeded when order > ELEMENT_LIMIT."""
         if self.order() > ELEMENT_LIMIT:
@@ -564,16 +533,6 @@ class PermGroup:
         for level in reversed(self._levels()):
             products = [rest * u for rest in products for u in level.transversal.values()]
         return products
-
-    def normal_closure(self, seeds: Sequence[Permutation]) -> PermGroup:
-        """Smallest normal subgroup of self containing the seeds, each
-        checked against self first.  The engine self's chain build picked
-        grows it: _close by adjoins for nilpotent self, so a p-group's
-        closure N keeps exactly log_p |N| generators, else _worklist_closure;
-        both conjugate by self's normal generators."""
-        if not all(s in self for s in seeds):
-            raise GroupError("seed is not a member of the group")
-        return self._closure(seeds)[0]
 
     def _closure(self, seeds: Sequence[Permutation]) -> tuple[PermGroup, list[Permutation]]:
         """The normal closure of the seeds, members of self not checked
@@ -602,6 +561,9 @@ class PermGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> PermGroup:
+        for key in sorted(data):
+            if key not in ("degree", "generators"):
+                raise ValueError(f"unknown key {key!r}")
         degree = data["degree"]
         if type(degree) is not int or degree < 1:  # bool is not a degree
             raise ValueError("degree must be a positive integer")
@@ -643,10 +605,6 @@ class CentralSeries:
 
     terms: tuple[PermGroup, ...]
     nilpotency_class: int | None
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return self.nilpotency_class is not None
 
     def order_profile(self) -> list[int]:
         return [t.order() for t in self.terms]

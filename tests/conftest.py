@@ -7,8 +7,11 @@ results can be checked against an implementation with nothing in common.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from nilbound import perm
 from nilbound.bounds import composition_value
 from nilbound.constructions import (
     abelian_class2_group,
@@ -104,6 +107,16 @@ def assert_chain_verified(levels, generators) -> None:
     assert all(sifts_to_identity(g, levels) for g in generators)
 
 
+def stabilizer_levels(G: PermGroup, point: int) -> list:
+    """A verified chain of the stabilizer of point in G: the levels below
+    the first of a Schreier-Sims chain of G based at point."""
+    return perm._build_chain([perm._Level(point, G.identity)], G.generators)[1:]
+
+
+def stabilizer_order(G: PermGroup, point: int) -> int:
+    return math.prod(len(level.transversal) for level in stabilizer_levels(G, point))
+
+
 def compositions(k: int, c: int):
     """All compositions of k into c non-negative parts, lexicographically."""
     if c == 1:
@@ -155,6 +168,10 @@ def abelian_groups() -> list[tuple[str, PermGroup]]:
 
 def build_corpus() -> list[tuple[str, PermGroup]]:
     """Groups of order <= 10^4 exercising every construction family."""
+    # the tower's chain is based at point 0, so its levels below the first
+    # are a chain of the stabilizer of 0
+    tower = iterated_wreath_sylow(2, 3)._levels()
+    assert tower[0].point == 0
     corpus: list[tuple[str, PermGroup]] = [
         ("trivial4", PermGroup(4)),
         ("C2", cyclic(2)),
@@ -184,7 +201,7 @@ def build_corpus() -> list[tuple[str, PermGroup]]:
         ("dihedral(4,3)", dihedral_times_abelian(4, 3)),
         ("dihedral(5,4)", dihedral_times_abelian(5, 4)),
         ("D4xC3", product_action(iterated_wreath_sylow(2, 2), cyclic(3))),
-        ("stab(W(2,3),0)", iterated_wreath_sylow(2, 3).point_stabilizer(0)),
+        ("stab(W(2,3),0)", PermGroup(8, [g for level in tower[1:] for g in level.gens])),
     ]
     return corpus
 

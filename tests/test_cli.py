@@ -298,6 +298,9 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert data["nilpotent"] is False
         assert data["nilpotency_class"] is None
+        # the series of a non-nilpotent group runs on to where it stalls
+        assert data["lower_central_orders"] == [6, 3]
+        assert data["center_order"] == 1
 
     def test_rejects_non_bijection_with_position(self, capsys):
         group = '{"degree":3,"generators":[[0,1,2],[0,0,1]]}'
@@ -320,9 +323,11 @@ class TestAnalyze:
             ('{"degree":2,"generators":[5]}', "generators[0] must be a list of 2 points"),
             ('{"degree":2,"generators":null}', "generators must be a list"),
             ('{"degree":2,"generators":"ab"}', "generators must be a list"),
+            ('{"degree":4,"gens":[[1,2,3,0]]}', "unknown key 'gens'"),
+            ('{"generators":[],"degree":2,"b":0,"a":0}', "unknown key 'a'"),
         ],
         ids=["bool-degree", "missing-degree", "int-generators", "int-generator", "null-generators",
-             "string-generators"],
+             "string-generators", "unknown-key", "unknown-keys-sorted"],
     )
     def test_invalid_group_is_a_usage_error(self, capsys, group, message):
         code, out, err = run(capsys, "analyze", "--group", group)
