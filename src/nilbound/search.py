@@ -9,8 +9,8 @@ normalizer of H with g^p in H, and every subgroup of order p^(i+1) arises
 this way from a maximal subgroup.  As |K:H| = p is prime, every g in K - H
 gives the same K, so each overgroup K of H is built once, from its least g.
 
-The enumeration works over a multiplication table indexed by the sorted
-element list of the tower, which keeps subgroups as plain integer sets.
+The enumeration works over tables of the tower's sorted element list,
+built along its Cayley graph, and keeps each subgroup as a byte mask.
 Each subgroup K carries at most log_p |K| generators; the normality test
 and the conjugacy orbits run on them, and the nilpotency class is the
 length of K's upper central series, each term screened on them.  audit_row
@@ -29,7 +29,7 @@ from typing import Iterator
 
 from . import bounds
 from .constructions import iterated_wreath_sylow, require_prime
-from .perm import GuardExceeded, PermGroup, Permutation, lower_central_series
+from .perm import GuardExceeded, PermGroup, lower_central_series
 
 DEFAULT_BUDGET = 500_000
 
@@ -41,27 +41,31 @@ CLASS_BOUND_LIMIT = 1000
 
 
 class _Tables:
-    """Multiplication, inverse and conjugation tables over the sorted element
-    list of a group: mult[i][j] indexes elements[i] * elements[j], inv[i] is
-    the column of row i holding the identity, and conj[g][x] indexes
-    g^-1 x g, row g^-1 of mult read along column g."""
+    """Multiplication, inverse and conjugation tables over the group's own
+    elements sorted by images: mult[i][j] indexes elements[i] * elements[j],
+    inv[i] is the column of row i holding the identity and conj[g][x]
+    indexes g^-1 x g.  The rows grow along the Cayley graph: when
+    elements[i] = s * elements[k] for a generator s, row i is row k read
+    through left, the index map of x -> s * x."""
 
     def __init__(self, group: PermGroup):
-        elements = sorted(g.images for g in group.elements())
-        index = {images: i for i, images in enumerate(elements)}
-        mult = []
-        for a in elements:
-            # a_times(b) is the image tuple of a * b; itemgetter of one index
-            # gives a scalar, so degrees 0 and 1 (identity only) use tuple
-            a_times = itemgetter(*a) if len(a) > 1 else tuple
-            mult.append(list(map(index.__getitem__, map(a_times, elements))))
-        self.elements = elements
-        self.index = index
+        self.elements = elements = sorted(group.elements())
+        self.index = index = {g.images: i for i, g in enumerate(elements)}
+        self.identity = identity = index[tuple(range(group.degree))]
+        lefts = [[index[(s * x).images] for x in elements] for s in group.generators]
+        n = len(elements)
+        mult: list = [tuple(range(n)) if i == identity else None for i in range(n)]
+        reached = [identity]
+        for k in reached:
+            for left in lefts:
+                i = left[k]
+                if mult[i] is None:  # i is not the identity, so itemgetter gets 2+ indices
+                    mult[i] = itemgetter(*mult[k])(left)
+                    reached.append(i)
         self.mult = mult
-        self.identity = index[tuple(range(group.degree))]
-        self.inv = inv = [row.index(self.identity) for row in mult]
-        self.conj = [list(map(mult[inv[g]].__getitem__, map(itemgetter(g), mult)))
-                     for g in range(len(mult))]
+        self.inv = inv = [row.index(identity) for row in mult]
+        # conj[g] is row g^-1 read along column g; the trivial group's is its one row
+        self.conj = [itemgetter(*c)(mult[i]) for i, c in zip(inv, zip(*mult))] if n > 1 else mult
         self.degree = group.degree
         self.gen_indices = sorted(index[g.images] for g in group.generators)
 
@@ -81,7 +85,7 @@ class _Tables:
         return frozenset(grown)
 
     def is_transitive(self, subgroup: frozenset[int]) -> bool:
-        return len({self.elements[h][0] for h in subgroup}) == self.degree
+        return len({self.elements[h].images[0] for h in subgroup}) == self.degree
 
     def subgroup_class(self, subgroup: frozenset[int], gens: list[int]) -> int:
         """Nilpotency class of subgroup = <gens> as the length of its upper
@@ -115,8 +119,7 @@ class _Tables:
         return gens
 
     def to_perm_group(self, subgroup: frozenset[int]) -> PermGroup:
-        gens = [Permutation(self.elements[h]) for h in self.generating_set(subgroup)]
-        return PermGroup(self.degree, gens)
+        return PermGroup(self.degree, map(self.elements.__getitem__, self.generating_set(subgroup)))
 
 
 def _stream_budget(dedupe: str, max_count: int | None) -> int:
@@ -144,59 +147,81 @@ def _iter_subgroup_sets(
     tables: _Tables, p: int, dedupe: str, max_count: int
 ) -> Iterator[tuple[frozenset[int], list[int]]]:
     """Yield subgroups K of the table group as element-index sets, each with
-    a list of at most log_p |K| generators, smallest order first,
-    deterministic.  In conjugacy mode one representative per conjugacy
-    class is yielded (the one with the least sorted element key) and only
-    representatives are extended, which is sound because extensions of
-    conjugate subgroups are conjugate.  Set mode is the same loop with no
-    conjugators, so every orbit is {K} and K is its own representative.
-    Each overgroup K of H is built once, from the least g in K - H, and
-    K = <H, g> keeps H's generators plus g; a conjugate keeps their
-    conjugates.  Normality is tested on H's generators and an orbit step
-    maps the element set through one conjugation row.  Every subgroup
-    visited, the trivial one included, counts against max_count."""
-    identity, mult, conj = tables.identity, tables.mult, tables.conj
+    at most log_p |K| generators, smallest order first, deterministic.  In
+    conjugacy mode only one representative per conjugacy class, the one
+    with the least sorted elements, is yielded and extended: extensions of
+    conjugate subgroups are conjugate.  Set mode has no conjugators.  Each
+    overgroup K of H is built once, from the least g in K - H, keeping H's
+    generators plus g.  Every subgroup visited, the trivial one included,
+    counts against max_count.  A subgroup is an n-byte 0/1 mask read as a
+    big-endian int, so its least element is its top set byte and, of one
+    order, the larger int has the least sorted elements.  row.translate
+    reads a mask, padded to 256 bytes, along a row: row g^-1 of mult gives
+    g*H, column h of conj the g with g^-1 h g in H, and row s^-1 of conj
+    the conjugate of H by s."""
+    mult, conj, inv = tables.mult, tables.conj, tables.inv
     n = len(mult)
     pth = list(range(n))  # pth[g] = g^p
     for _ in range(p - 1):
         pth = [mult[x][g] for g, x in enumerate(pth)]
-    conjugators = [conj[s] for s in tables.gen_indices] if dedupe == "conjugacy" else []
+    pth, pad = bytes(pth), bytes(256 - n)
+    left_inverse = [bytes(mult[i]) for i in inv]
+    conj_of = [bytes(column) for column in zip(*conj)]
+    conjugating = tables.gen_indices if dedupe == "conjugacy" else []
+    conjugators = [(bytes(conj[inv[s]]), conj[s]) for s in conjugating]
 
     yielded = 1
     _check_budget(yielded, max_count)
-    level: list[tuple[frozenset[int], list[int]]] = [(frozenset({identity}), [])]
-    yield level[0]
+    level: list[tuple[int, list[int]]] = [(1 << 8 * (n - 1 - tables.identity), [])]
+    yield frozenset({tables.identity}), []
 
     while level:
-        next_level: list[tuple[frozenset[int], list[int]]] = []
-        next_seen: set[frozenset[int]] = set()
+        next_level: list[tuple[int, list[int]]] = []
+        next_seen: set[int] = set()
         for H, gens in level:
-            covered = set(H)  # H and every overgroup already built from it
+            table = H.to_bytes(n, "big") + pad
             # <H, g> has order p*|H| when g^p is in H and g normalizes H
-            for g in compress(range(n), map(H.__contains__, pth)):
-                if g in covered or not H.issuperset(map(conj[g].__getitem__, gens)):
-                    continue
-                K = tables.adjoin(H, gens, g)
-                covered |= K
+            todo = ~H  # negative until ANDed with the g^p in H
+            for row in (pth, *map(conj_of.__getitem__, gens)):
+                todo &= int.from_bytes(row.translate(table), "big")
+            while todo:
+                g = (8 * n - todo.bit_length()) >> 3
+                K, coset = H, table
+                for _ in range(p - 1):  # K is H, g*H, ..., g^(p-1)*H
+                    coset = left_inverse[g].translate(coset)
+                    K |= int.from_bytes(coset, "big")
+                    coset += pad
+                todo &= ~K
                 if K in next_seen:
                     continue
                 orbit = {K: [*gens, g]}
                 frontier = [K]
                 while frontier:
                     current = frontier.pop()
-                    for row in conjugators:
-                        image = frozenset(map(row.__getitem__, current))
+                    mask = current.to_bytes(n, "big") + pad
+                    for row_inverse, row in conjugators:
+                        image = int.from_bytes(row_inverse.translate(mask), "big")
                         if image not in orbit:
                             orbit[image] = [row[x] for x in orbit[current]]
                             frontier.append(image)
                 next_seen.update(orbit)
-                rep = min(orbit, key=sorted)
+                rep = max(orbit)
                 next_level.append((rep, orbit[rep]))
                 yielded += 1
                 _check_budget(yielded, max_count)
-        next_level.sort(key=lambda item: sorted(item[0]))
-        yield from next_level
+        next_level.sort(reverse=True)
+        for K, gens in next_level:
+            yield frozenset(compress(range(n), K.to_bytes(n, "big"))), gens
         level = next_level
+
+
+def _prime_order_stream(S: PermGroup, max_count: int) -> Iterator[PermGroup]:
+    """1, then S on its least element but 1, for S of prime order p: the
+    guard admits any p, whose elements may not fit the stream's byte masks."""
+    least = sorted(S.elements())[1]  # the identity sorts first
+    for visited, gens in enumerate(([], [least]), start=1):
+        _check_budget(visited, max_count)
+        yield PermGroup(S.degree, gens)
 
 
 def enumerate_subgroups(
@@ -215,10 +240,10 @@ def enumerate_subgroups(
             f"group order {order} exceeds subgroup enumeration guard {max_order}"
         )
     max_count = _stream_budget(dedupe, max_count)
+    if order == p:
+        return _prime_order_stream(S, max_count)
     tables = _Tables(S)
-    return (
-        tables.to_perm_group(K) for K, _ in _iter_subgroup_sets(tables, p, dedupe, max_count)
-    )
+    return (tables.to_perm_group(K) for K, _ in _iter_subgroup_sets(tables, p, dedupe, max_count))
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,16 @@ class TestEnumerateSubgroups:
         with pytest.raises(ValueError, match="max_count must be non-negative, got -1"):
             fnil_exact(2, 3, 8, max_count=-1)
 
+    @pytest.mark.parametrize("dedupe", ["set", "conjugacy"])
+    def test_prime_order_past_the_byte_masks(self, dedupe):
+        # the guard admits order p for p >= 5; 257 elements do not fit the
+        # stream's byte masks, so the trivial group and C_257 come directly
+        C = cyclic(257)
+        stream = [H.dumps() for H in enumerate_subgroups(C, dedupe=dedupe)]
+        assert stream == [PermGroup(257).dumps(), C.dumps()]
+        with pytest.raises(GuardExceeded, match="visited 2 subgroups, over the budget 1$"):
+            list(enumerate_subgroups(C, dedupe=dedupe, max_count=1))
+
     def test_order_guard(self):
         with pytest.raises(GuardExceeded):
             list(enumerate_subgroups(iterated_wreath_sylow(2, 4)))
@@ -150,15 +160,35 @@ class TestEnumerateSubgroups:
         assert first == second
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2)])
-def test_tables_match_permutation_products(p, k):
-    tables = _Tables(iterated_wreath_sylow(p, k))
-    perms = [Permutation(images) for images in tables.elements]
+def _with_idle_generators():
+    # the identity and a repeated generator lead the Cayley-graph walk to no new element
+    a, b = iterated_wreath_sylow(2, 2).generators
+    return PermGroup(4, [Permutation.identity(4), a, b, a])
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        pytest.param(lambda: iterated_wreath_sylow(2, 1), id="2-1"),
+        pytest.param(lambda: iterated_wreath_sylow(2, 3), id="2-3"),
+        pytest.param(lambda: iterated_wreath_sylow(3, 2), id="3-2"),
+        pytest.param(_with_idle_generators, id="idle-generators"),
+        pytest.param(lambda: PermGroup(0), id="trivial-degree-0"),
+        pytest.param(lambda: PermGroup(1), id="trivial-degree-1"),
+        pytest.param(sym3, id="S3"),
+        pytest.param(lambda: dihedral_times_abelian(6, 5), id="dihedral-times-abelian-6-5"),
+    ],
+)
+def test_tables_match_permutation_products(group):
+    group = group()
+    tables = _Tables(group)
+    perms = tables.elements
+    assert [g.images for g in perms] == sorted(naive_closure(group.degree, group.generators))
     for i, a in enumerate(perms):
-        assert tables.elements[tables.inv[i]] == a.inverse().images
+        assert tables.elements[tables.inv[i]] == a.inverse()
         for j, b in enumerate(perms):
-            assert tables.elements[tables.mult[i][j]] == (a * b).images
-            assert tables.elements[tables.conj[i][j]] == (a.inverse() * b * a).images
+            assert tables.elements[tables.mult[i][j]] == a * b
+            assert tables.elements[tables.conj[i][j]] == a.inverse() * b * a
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
@@ -171,8 +201,8 @@ def test_carried_generators_and_class(p, k):
         for K, gens in search._iter_subgroup_sets(tables, p, mode, budget):
             count += 1
             assert p ** len(gens) <= len(K)
-            perms = [Permutation(tables.elements[g]) for g in gens]
-            assert naive_closure(tables.degree, perms) == {tables.elements[h] for h in K}
+            perms = [tables.elements[g] for g in gens]
+            assert naive_closure(tables.degree, perms) == {tables.elements[h].images for h in K}
             assert tables.subgroup_class(K, gens) == nilpotency_class(tables.to_perm_group(K))
         assert count == budget
 
