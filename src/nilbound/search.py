@@ -9,8 +9,8 @@ normalizer of H with g^p in H, and every subgroup of order p^(i+1) arises
 this way from a maximal subgroup.  As |K:H| = p is prime, every g in K - H
 gives the same K, so each overgroup K of H is built once, from its least g.
 
-The enumeration works over tables of the tower's sorted element list,
-built along its Cayley graph, and keeps each subgroup as a byte mask.
+The search works over byte tables of the tower's sorted element list and
+keeps each subgroup, from the stream to the witnesses, as a byte mask.
 Each subgroup K carries at most log_p |K| generators; the normality test
 and the conjugacy orbits run on them, and the nilpotency class is the
 length of K's upper central series, each term screened on them.  audit_row
@@ -23,13 +23,12 @@ max_count subgroups, or DEFAULT_BUDGET of them when the caller passes none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
+from itertools import accumulate, compress, repeat
 from typing import Iterator
 
 from . import bounds
 from .constructions import iterated_wreath_sylow, require_prime
-from .perm import GuardExceeded, PermGroup, lower_central_series
+from .perm import GuardExceeded, PermGroup, Permutation, lower_central_series
 
 DEFAULT_BUDGET = 500_000
 
@@ -42,84 +41,91 @@ CLASS_BOUND_LIMIT = 1000
 
 class _Tables:
     """Multiplication, inverse and conjugation tables over the group's own
-    elements sorted by images: mult[i][j] indexes elements[i] * elements[j],
-    inv[i] is the column of row i holding the identity and conj[g][x]
-    indexes g^-1 x g.  The rows grow along the Cayley graph: when
-    elements[i] = s * elements[k] for a generator s, row i is row k read
-    through left, the index map of x -> s * x."""
+    elements sorted by images, as byte rows: mult[i][j] indexes
+    elements[i] * elements[j], inv[i] is the column of row i holding the
+    identity, conj[g][x] indexes g^-1 x g and conj_of[x] is column x of
+    conj.  The rows grow along the Cayley graph: when elements[i] =
+    s * elements[k] for a generator s, row i is row k read through left,
+    the index map of x -> s * x.
+
+    A subgroup is a byte mask: an n-byte 0/1 string read as a big-endian
+    int, so its least element is its top set byte and, of one order, the
+    larger int has the least sorted elements.  row.translate reads a mask,
+    padded to 256 bytes, along a row: row g^-1 of mult gives g*H, conj_of[h]
+    the g with g^-1 h g in H, and row s^-1 of conj the conjugate of H by s."""
 
     def __init__(self, group: PermGroup):
         self.elements = elements = sorted(group.elements())
         self.index = index = {g.images: i for i, g in enumerate(elements)}
         self.identity = identity = index[tuple(range(group.degree))]
-        lefts = [[index[(s * x).images] for x in elements] for s in group.generators]
-        n = len(elements)
-        mult: list = [tuple(range(n)) if i == identity else None for i in range(n)]
+        self.n = n = len(elements)
+        self.pad = pad = bytes(256 - n)
+        self.trivial = 1 << 8 * (n - 1 - identity)
+        lefts = [bytes(index[(s * x).images] for x in elements) + pad for s in group.generators]
+        mult: list = [bytes(range(n)) if i == identity else None for i in range(n)]
         reached = [identity]
         for k in reached:
             for left in lefts:
                 i = left[k]
-                if mult[i] is None:  # i is not the identity, so itemgetter gets 2+ indices
-                    mult[i] = itemgetter(*mult[k])(left)
+                if mult[i] is None:
+                    mult[i] = mult[k].translate(left)
                     reached.append(i)
         self.mult = mult
         self.inv = inv = [row.index(identity) for row in mult]
-        # conj[g] is row g^-1 read along column g; the trivial group's is its one row
-        self.conj = [itemgetter(*c)(mult[i]) for i, c in zip(inv, zip(*mult))] if n > 1 else mult
+        # conj[g] is row g^-1 read along column g
+        self.conj = conj = [bytes(c).translate(mult[i] + pad) for i, c in zip(inv, zip(*mult))]
+        self.conj_of = [bytes(column) for column in zip(*conj)]
         self.degree = group.degree
         self.gen_indices = sorted(index[g.images] for g in group.generators)
 
-    def adjoin(self, subgroup: frozenset[int], gens: list[int], g: int) -> frozenset[int]:
-        """<subgroup, g> for subgroup = <gens>, grown Dimino-style as a union
-        of left cosets r*subgroup: s*r starts a new coset whenever it falls
-        outside the union for a coset representative r and a generator s."""
-        mult = self.mult
-        grown = set(subgroup)
-        reps = [self.identity]
-        for r in reps:
-            for s in (*gens, g):
-                x = mult[s][r]
-                if x not in grown:
-                    grown.update(map(mult[x].__getitem__, subgroup))
-                    reps.append(x)
-        return frozenset(grown)
+    def table(self, mask: int) -> bytes:
+        """mask as a 256-byte translate table."""
+        return mask.to_bytes(self.n, "big") + self.pad
 
-    def is_transitive(self, subgroup: frozenset[int]) -> bool:
-        return len({self.elements[h].images[0] for h in subgroup}) == self.degree
+    def is_transitive(self, K: int) -> bool:
+        members = compress(self.elements, K.to_bytes(self.n, "big"))
+        return len({h.images[0] for h in members}) == self.degree
 
-    def subgroup_class(self, subgroup: frozenset[int], gens: list[int]) -> int:
-        """Nilpotency class of subgroup = <gens> as the length of its upper
-        central series: Z_(i+1) holds the z in the subgroup whose commutators
-        [z, y] = z^-1 (y^-1 z y) with every generator y lie in Z_i.  Testing
-        the generators suffices because Z_i is normal in the subgroup."""
-        mult, inv = self.mult, self.inv
-        center = {self.identity}
-        cls = 0
-        while len(center) < len(subgroup):
-            grown = subgroup
-            for row in map(self.conj.__getitem__, gens):
-                grown = [z for z in grown if mult[inv[z]][row[z]] in center]
-            if len(grown) == len(center):
+    def subgroup_class(self, K: int, gens: list[int]) -> int:
+        """Nilpotency class of subgroup K = <gens> as the length of its upper
+        central series: Z_(i+1) holds the z in K whose commutators [y, z]
+        with every generator y lie in Z_i, that is z^-1 y z in y*Z_i.
+        Testing the generators suffices because Z_i is normal in K."""
+        mult, inv, conj_of = self.mult, self.inv, self.conj_of
+        center, cls = self.trivial, 0
+        while center != K:
+            table, grown = self.table(center), K
+            for y in gens:
+                coset = mult[inv[y]].translate(table) + self.pad
+                grown &= int.from_bytes(conj_of[y].translate(coset), "big")
+            if grown == center:
                 raise AssertionError("upper central series stalled: not nilpotent")
-            center = set(grown)
+            center = grown
             cls += 1
         return cls
 
-    def generating_set(self, subgroup: frozenset[int]) -> list[int]:
-        """A small deterministic generating set: scan elements in index
-        order, keeping those that enlarge the generated subgroup."""
+    def generating_set(self, K: int) -> list[int]:
+        """A small deterministic generating set of subgroup K: the least
+        element of K outside the subgroup H generated so far, until H is K.
+        Each step grows H Dimino-style as a union of left cosets x*H: s*r
+        starts a new coset whenever it falls outside the union, for a coset
+        representative r and a generator s."""
+        mult, inv = self.mult, self.inv
         gens: list[int] = []
-        generated: frozenset[int] = frozenset({self.identity})
-        for h in sorted(subgroup):
-            if h not in generated:
-                generated = self.adjoin(generated, gens, h)
-                gens.append(h)
-                if len(generated) == len(subgroup):
-                    break
+        H = self.trivial
+        while H != K:
+            gens.append((8 * self.n - (K & ~H).bit_length()) >> 3)
+            table, reps = self.table(H), [self.identity]
+            for r in reps:
+                for s in gens:
+                    x = mult[s][r]
+                    if not H >> 8 * (self.n - 1 - x) & 1:
+                        H |= int.from_bytes(mult[inv[x]].translate(table), "big")
+                        reps.append(x)
         return gens
 
-    def to_perm_group(self, subgroup: frozenset[int]) -> PermGroup:
-        return PermGroup(self.degree, map(self.elements.__getitem__, self.generating_set(subgroup)))
+    def to_perm_group(self, K: int) -> PermGroup:
+        return PermGroup(self.degree, map(self.elements.__getitem__, self.generating_set(K)))
 
 
 def _stream_budget(dedupe: str, max_count: int | None) -> int:
@@ -145,50 +151,43 @@ def _check_budget(visited: int, max_count: int) -> None:
 
 def _iter_subgroup_sets(
     tables: _Tables, p: int, dedupe: str, max_count: int
-) -> Iterator[tuple[frozenset[int], list[int]]]:
-    """Yield subgroups K of the table group as element-index sets, each with
-    at most log_p |K| generators, smallest order first, deterministic.  In
-    conjugacy mode only one representative per conjugacy class, the one
-    with the least sorted elements, is yielded and extended: extensions of
-    conjugate subgroups are conjugate.  Set mode has no conjugators.  Each
-    overgroup K of H is built once, from the least g in K - H, keeping H's
-    generators plus g.  Every subgroup visited, the trivial one included,
-    counts against max_count.  A subgroup is an n-byte 0/1 mask read as a
-    big-endian int, so its least element is its top set byte and, of one
-    order, the larger int has the least sorted elements.  row.translate
-    reads a mask, padded to 256 bytes, along a row: row g^-1 of mult gives
-    g*H, column h of conj the g with g^-1 h g in H, and row s^-1 of conj
-    the conjugate of H by s."""
-    mult, conj, inv = tables.mult, tables.conj, tables.inv
-    n = len(mult)
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield subgroups K of the table group as masks, each with at most
+    log_p |K| generators, smallest order first and, within an order, in
+    descending mask order.  In conjugacy mode only one representative per
+    conjugacy class, the one with the least sorted elements, is yielded and
+    extended: extensions of conjugate subgroups are conjugate.  Set mode has
+    no conjugators.  Each overgroup K of H is built once, from the least g
+    in K - H, keeping H's generators plus g.  Every subgroup visited, the
+    trivial one included, counts against max_count."""
+    mult, conj, inv, conj_of, pad = tables.mult, tables.conj, tables.inv, tables.conj_of, tables.pad
+    n = tables.n
     pth = list(range(n))  # pth[g] = g^p
     for _ in range(p - 1):
         pth = [mult[x][g] for g, x in enumerate(pth)]
-    pth, pad = bytes(pth), bytes(256 - n)
-    left_inverse = [bytes(mult[i]) for i in inv]
-    conj_of = [bytes(column) for column in zip(*conj)]
+    pth = bytes(pth)
     conjugating = tables.gen_indices if dedupe == "conjugacy" else []
-    conjugators = [(bytes(conj[inv[s]]), conj[s]) for s in conjugating]
+    conjugators = [(conj[inv[s]], conj[s]) for s in conjugating]
 
     yielded = 1
     _check_budget(yielded, max_count)
-    level: list[tuple[int, list[int]]] = [(1 << 8 * (n - 1 - tables.identity), [])]
-    yield frozenset({tables.identity}), []
+    level: list[tuple[int, list[int]]] = [(tables.trivial, [])]
+    yield tables.trivial, []
 
     while level:
         next_level: list[tuple[int, list[int]]] = []
         next_seen: set[int] = set()
         for H, gens in level:
-            table = H.to_bytes(n, "big") + pad
+            table = tables.table(H)
             # <H, g> has order p*|H| when g^p is in H and g normalizes H
             todo = ~H  # negative until ANDed with the g^p in H
             for row in (pth, *map(conj_of.__getitem__, gens)):
                 todo &= int.from_bytes(row.translate(table), "big")
             while todo:
                 g = (8 * n - todo.bit_length()) >> 3
-                K, coset = H, table
+                K, coset, left_inverse = H, table, mult[inv[g]]
                 for _ in range(p - 1):  # K is H, g*H, ..., g^(p-1)*H
-                    coset = left_inverse[g].translate(coset)
+                    coset = left_inverse.translate(coset)
                     K |= int.from_bytes(coset, "big")
                     coset += pad
                 todo &= ~K
@@ -198,7 +197,7 @@ def _iter_subgroup_sets(
                 frontier = [K]
                 while frontier:
                     current = frontier.pop()
-                    mask = current.to_bytes(n, "big") + pad
+                    mask = tables.table(current)
                     for row_inverse, row in conjugators:
                         image = int.from_bytes(row_inverse.translate(mask), "big")
                         if image not in orbit:
@@ -210,15 +209,16 @@ def _iter_subgroup_sets(
                 yielded += 1
                 _check_budget(yielded, max_count)
         next_level.sort(reverse=True)
-        for K, gens in next_level:
-            yield frozenset(compress(range(n), K.to_bytes(n, "big"))), gens
+        yield from next_level
         level = next_level
 
 
 def _prime_order_stream(S: PermGroup, max_count: int) -> Iterator[PermGroup]:
     """1, then S on its least element but 1, for S of prime order p: the
-    guard admits any p, whose elements may not fit the stream's byte masks."""
-    least = sorted(S.elements())[1]  # the identity sorts first
+    guard admits any p, whose elements may not fit the stream's byte masks.
+    The elements but 1 are the powers g, ..., g^(p-1) of any one of them."""
+    g = next(s for s in S.generators if not s.is_identity())
+    least = min(accumulate(repeat(g, S.order() - 1), Permutation.__mul__))
     for visited, gens in enumerate(([], [least]), start=1):
         _check_budget(visited, max_count)
         yield PermGroup(S.degree, gens)
@@ -290,27 +290,20 @@ def fnil_exact(
     tower = iterated_wreath_sylow(p, k)
     tables = _Tables(tower)
 
-    # best[c-1] = maximal transitive subgroup of class <= c; the stream is
-    # ordered by level then canonical key, and subgroups of equal order share
-    # a level, so keeping the first strict maximum is deterministic
-    best: list[frozenset[int] | None] = [None] * c_max
-    for subgroup, gens in _iter_subgroup_sets(tables, p, dedupe, max_count):
-        if not tables.is_transitive(subgroup):
-            continue
-        cls = tables.subgroup_class(subgroup, gens)
-        for c in range(cls, c_max + 1):
-            if best[c - 1] is None or len(best[c - 1]) < len(subgroup):
-                best[c - 1] = subgroup
-
-    exponents = []
-    witnesses = []
-    for c in range(1, c_max + 1):
-        subgroup = best[c - 1]
-        if subgroup is None:
-            raise AssertionError(f"no transitive subgroup found for class {c}")
-        _, e = bounds.prime_power(len(subgroup)) if len(subgroup) > 1 else (p, 0)
-        exponents.append(e)
-        witnesses.append(tables.to_perm_group(subgroup))
+    # each order's subgroups come in descending mask order, so the first of
+    # the largest order has the largest (order, mask) key; best[c-1], the
+    # running max of the best key per class, is the witness for class <= c
+    keys: dict[int, tuple[int, int]] = {}
+    for K, gens in _iter_subgroup_sets(tables, p, dedupe, max_count):
+        if tables.is_transitive(K):
+            cls = tables.subgroup_class(K, gens)
+            keys[cls] = max(keys.get(cls, (0, 0)), (K.bit_count(), K))
+    best = list(accumulate((keys.get(c, (0, 0)) for c in range(1, c_max + 1)), max))
+    if not best[0][0]:
+        raise AssertionError("no transitive subgroup found for class 1")
+    groups = {K: tables.to_perm_group(K) for _, K in set(best)}
+    exponents = [bounds.prime_power(order)[1] for order, _ in best]
+    witnesses = [groups[K] for _, K in best]
     return SearchRow(p, k, c_max, tuple(exponents), tuple(witnesses))
 
 

@@ -124,12 +124,24 @@ class TestEnumerateSubgroups:
             fnil_exact(2, 3, 8, max_count=-1)
 
     @pytest.mark.parametrize("dedupe", ["set", "conjugacy"])
-    def test_prime_order_past_the_byte_masks(self, dedupe):
+    def test_prime_order_past_the_byte_masks(self, dedupe, monkeypatch):
         # the guard admits order p for p >= 5; 257 elements do not fit the
-        # stream's byte masks, so the trivial group and C_257 come directly
+        # stream's byte masks, so the trivial group and C_257 come directly,
+        # as does a group of order 7 with fixed points and two generators,
+        # on its least element but 1, all with no element list
         C = cyclic(257)
+        g = Permutation.from_cycles(12, (9, 3, 7, 5, 8, 4, 6))
+        S = PermGroup(12, [g**3, g])
+        least = min(Permutation(im) for im in naive_closure(12, S.generators) if im != tuple(range(12)))
+
+        def no_elements(group):
+            raise AssertionError("element list built")
+
+        monkeypatch.setattr(PermGroup, "elements", no_elements)
         stream = [H.dumps() for H in enumerate_subgroups(C, dedupe=dedupe)]
         assert stream == [PermGroup(257).dumps(), C.dumps()]
+        stream = [H.dumps() for H in enumerate_subgroups(S, dedupe=dedupe)]
+        assert stream == [PermGroup(12).dumps(), PermGroup(12, [least]).dumps()]
         with pytest.raises(GuardExceeded, match="visited 2 subgroups, over the budget 1$"):
             list(enumerate_subgroups(C, dedupe=dedupe, max_count=1))
 
@@ -189,6 +201,13 @@ def test_tables_match_permutation_products(group):
         for j, b in enumerate(perms):
             assert tables.elements[tables.mult[i][j]] == a * b
             assert tables.elements[tables.conj[i][j]] == a.inverse() * b * a
+            assert tables.conj_of[j][i] == tables.conj[i][j]
+
+
+def as_mask(tables, indices):
+    """The search's byte-mask encoding of a set of element indices."""
+    chosen = set(indices)
+    return int.from_bytes(bytes(i in chosen for i in range(len(tables.elements))), "big")
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
@@ -200,11 +219,30 @@ def test_carried_generators_and_class(p, k):
         count = 0
         for K, gens in search._iter_subgroup_sets(tables, p, mode, budget):
             count += 1
-            assert p ** len(gens) <= len(K)
+            assert p ** len(gens) <= K.bit_count()
             perms = [tables.elements[g] for g in gens]
-            assert naive_closure(tables.degree, perms) == {tables.elements[h].images for h in K}
+            closure = naive_closure(tables.degree, perms)
+            assert as_mask(tables, map(tables.index.__getitem__, closure)) == K
             assert tables.subgroup_class(K, gens) == nilpotency_class(tables.to_perm_group(K))
         assert count == budget
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+def test_witness_generators_are_the_greedy_scan(p, k):
+    # oracle through the naive closure alone: scan a subgroup's elements in
+    # sorted-images order, keeping each one outside the closure of those kept
+    tables = _Tables(iterated_wreath_sylow(p, k))
+    count = 0
+    for K, gens in search._iter_subgroup_sets(tables, p, "set", search.DEFAULT_BUDGET):
+        count += 1
+        members = sorted(naive_closure(tables.degree, [tables.elements[g] for g in gens]))
+        kept, closure = [], {members[0]}
+        for images in members:
+            if images not in closure:
+                kept.append(Permutation(images))
+                closure = naive_closure(tables.degree, kept)
+        assert tables.to_perm_group(K).generators == tuple(kept)
+    assert count == STREAM_COUNTS[p, k][0]
 
 
 def test_class_needs_the_normal_closure():
@@ -217,7 +255,7 @@ def test_class_needs_the_normal_closure():
     b = Permutation((11, 10, 9, 8, 13, 12, 14, 15, 1, 0, 3, 2, 4, 5, 7, 6))
     G = PermGroup(16, [a, b])
     tables = _Tables(G)
-    whole = frozenset(range(len(tables.elements)))
+    whole = as_mask(tables, range(len(tables.elements)))
     gens = [tables.index[a.images], tables.index[b.images]]
     assert (G.order(), nilpotency_class(G)) == (32, 3)
     assert tables.subgroup_class(whole, gens) == 3
@@ -240,7 +278,7 @@ def test_class_of_a_non_nilpotent_group_stalls():
     S3 = PermGroup(3, [Permutation.from_cycles(3, (0, 1, 2)), Permutation.from_cycles(3, (0, 1))])
     tables = _Tables(S3)
     with pytest.raises(AssertionError, match="stalled"):
-        tables.subgroup_class(frozenset(range(6)), tables.gen_indices)
+        tables.subgroup_class(as_mask(tables, range(6)), tables.gen_indices)
 
 
 class TestDegreeFourCompleteness:
