@@ -11,19 +11,23 @@ gives the same K, so each overgroup K of H is built once, from its least g.
 
 The search works over byte tables of the tower's sorted element list and
 keeps each subgroup, from the stream to the witnesses, as a byte mask.
-Each subgroup K carries at most log_p |K| generators; the normality test
-and the conjugacy orbits run on them, and the nilpotency class is the
-length of K's upper central series, each term screened on them.  audit_row
-re-analyzes the reported witnesses through the permutation-group engine,
-whose class comes from the lower central series, so the two arithmetic
-paths and the two series check each other.  A stream visits at most
-max_count subgroups, or DEFAULT_BUDGET of them when the caller passes none.
+Both dedupe modes run one stream: it extends one subgroup per conjugacy
+class and expands each new class into its orbit under conjugation by the
+generators; set mode yields every member of the orbits, conjugacy mode one
+representative each.  Each subgroup K carries at most log_p |K|
+generators; the normality test and the conjugacy orbits run on them, and
+the nilpotency class is the length of K's upper central series, each term
+screened on them.  audit_row re-analyzes the reported witnesses through the
+permutation-group engine, whose class comes from the lower central series,
+so the two arithmetic paths and the two series check each other.  A stream
+yields at most max_count subgroups, or DEFAULT_BUDGET of them when the
+caller passes none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from typing import Iterator
 
 from . import bounds
@@ -44,9 +48,11 @@ class _Tables:
     elements sorted by images, as byte rows: mult[i][j] indexes
     elements[i] * elements[j], inv[i] is the column of row i holding the
     identity, conj[g][x] indexes g^-1 x g and conj_of[x] is column x of
-    conj.  The rows grow along the Cayley graph: when elements[i] =
-    s * elements[k] for a generator s, row i is row k read through left,
-    the index map of x -> s * x.
+    conj; column g of a table is a stride-n slice of its joined rows.  The
+    rows grow along the Cayley graph: when elements[i] = s * elements[k]
+    for a generator s, row i is row k read through left, the index map of
+    x -> s * x.  stab masks the elements fixing point 0, and closures
+    memoizes the witness generators' closures <H, g> by (H, g).
 
     A subgroup is a byte mask: an n-byte 0/1 string read as a big-endian
     int, so its least element is its top set byte and, of one order, the
@@ -73,18 +79,23 @@ class _Tables:
         self.mult = mult
         self.inv = inv = [row.index(identity) for row in mult]
         # conj[g] is row g^-1 read along column g
-        self.conj = conj = [bytes(c).translate(mult[i] + pad) for i, c in zip(inv, zip(*mult))]
-        self.conj_of = [bytes(column) for column in zip(*conj)]
+        flat = b"".join(mult)
+        self.conj = conj = [flat[g::n].translate(mult[inv[g]] + pad) for g in range(n)]
+        flat = b"".join(conj)
+        self.conj_of = [flat[x::n] for x in range(n)]
         self.degree = group.degree
         self.gen_indices = sorted(index[g.images] for g in group.generators)
+        # degree 0 has no point 0: stab is empty and no subgroup is transitive
+        self.stab = int.from_bytes(bytes(g.images[:1] == (0,) for g in elements), "big")
+        self.closures: dict[tuple[int, int], int] = {}
 
     def table(self, mask: int) -> bytes:
         """mask as a 256-byte translate table."""
         return mask.to_bytes(self.n, "big") + self.pad
 
     def is_transitive(self, K: int) -> bool:
-        members = compress(self.elements, K.to_bytes(self.n, "big"))
-        return len({h.images[0] for h in members}) == self.degree
+        """By orbit-stabilizer: K is transitive iff |K| = degree * |K_0|."""
+        return K.bit_count() == self.degree * (K & self.stab).bit_count()
 
     def subgroup_class(self, K: int, gens: list[int]) -> int:
         """Nilpotency class of subgroup K = <gens> as the length of its upper
@@ -109,19 +120,24 @@ class _Tables:
         element of K outside the subgroup H generated so far, until H is K.
         Each step grows H Dimino-style as a union of left cosets x*H: s*r
         starts a new coset whenever it falls outside the union, for a coset
-        representative r and a generator s."""
-        mult, inv = self.mult, self.inv
+        representative r and a generator s.  The greedy set of each H is a
+        prefix of K's, so a step is looked up in closures first."""
+        mult, inv, closures = self.mult, self.inv, self.closures
         gens: list[int] = []
         H = self.trivial
         while H != K:
-            gens.append((8 * self.n - (K & ~H).bit_length()) >> 3)
-            table, reps = self.table(H), [self.identity]
-            for r in reps:
-                for s in gens:
-                    x = mult[s][r]
-                    if not H >> 8 * (self.n - 1 - x) & 1:
-                        H |= int.from_bytes(mult[inv[x]].translate(table), "big")
-                        reps.append(x)
+            g = (8 * self.n - (K & ~H).bit_length()) >> 3
+            gens.append(g)
+            if (H, g) not in closures:
+                grown, table, reps = H, self.table(H), [self.identity]
+                for r in reps:
+                    for s in gens:
+                        x = mult[s][r]
+                        if not grown >> 8 * (self.n - 1 - x) & 1:
+                            grown |= int.from_bytes(mult[inv[x]].translate(table), "big")
+                            reps.append(x)
+                closures[H, g] = grown
+            H = closures[H, g]
         return gens
 
     def to_perm_group(self, K: int) -> PermGroup:
@@ -154,20 +170,25 @@ def _iter_subgroup_sets(
 ) -> Iterator[tuple[int, list[int]]]:
     """Yield subgroups K of the table group as masks, each with at most
     log_p |K| generators, smallest order first and, within an order, in
-    descending mask order.  In conjugacy mode only one representative per
-    conjugacy class, the one with the least sorted elements, is yielded and
-    extended: extensions of conjugate subgroups are conjugate.  Set mode has
-    no conjugators.  Each overgroup K of H is built once, from the least g
-    in K - H, keeping H's generators plus g.  Every subgroup visited, the
-    trivial one included, counts against max_count."""
+    descending mask order.  Only one representative per conjugacy class,
+    the one with the least sorted elements, is extended: extensions of
+    conjugate subgroups are conjugate.  Each overgroup K of H is built
+    once, from the least g in K - H, keeping H's generators plus g, and a
+    new K is expanded into its class by a search under conjugation by the
+    noncentral generators, each member's generators the conjugates of its
+    parent's.  Set mode yields every member of every class, conjugacy mode
+    the representatives.  Every subgroup yielded, the trivial one
+    included, counts against max_count, one at a time."""
     mult, conj, inv, conj_of, pad = tables.mult, tables.conj, tables.inv, tables.conj_of, tables.pad
     n = tables.n
     pth = list(range(n))  # pth[g] = g^p
     for _ in range(p - 1):
         pth = [mult[x][g] for g, x in enumerate(pth)]
     pth = bytes(pth)
-    conjugating = tables.gen_indices if dedupe == "conjugacy" else []
-    conjugators = [(conj[inv[s]], conj[s]) for s in conjugating]
+    # conjugation by a central generator is the identity map
+    noncentral = [s for s in tables.gen_indices if conj[s] != bytes(range(n))]
+    conjugators = [(conj[inv[s]], conj[s]) for s in noncentral]
+    yield_members = dedupe == "set"
 
     yielded = 1
     _check_budget(yielded, max_count)
@@ -176,6 +197,7 @@ def _iter_subgroup_sets(
 
     while level:
         next_level: list[tuple[int, list[int]]] = []
+        others: list[tuple[int, list[int]]] = []  # set mode: members but the rep
         next_seen: set[int] = set()
         for H, gens in level:
             table = tables.table(H)
@@ -194,7 +216,8 @@ def _iter_subgroup_sets(
                 if K in next_seen:
                     continue
                 orbit = {K: [*gens, g]}
-                frontier = [K]
+                # with central generators only, every class is one subgroup
+                frontier = [K] if conjugators else []
                 while frontier:
                     current = frontier.pop()
                     mask = tables.table(current)
@@ -203,13 +226,20 @@ def _iter_subgroup_sets(
                         if image not in orbit:
                             orbit[image] = [row[x] for x in orbit[current]]
                             frontier.append(image)
+                            if image & H == H:  # each g in image - H builds image
+                                todo &= ~image
                 next_seen.update(orbit)
                 rep = max(orbit)
-                next_level.append((rep, orbit[rep]))
-                yielded += 1
-                _check_budget(yielded, max_count)
+                next_level.append((rep, orbit.pop(rep)))
+                if yield_members:
+                    others.extend(orbit.items())
+                # one count per subgroup yielded, so a refusal names max_count + 1
+                for _ in range(1 + len(orbit) if yield_members else 1):
+                    yielded += 1
+                    _check_budget(yielded, max_count)
         next_level.sort(reverse=True)
-        yield from next_level
+        # next_level is sorted already, so sorted() merges the others into it
+        yield from sorted(next_level + others, reverse=True) if yield_members else next_level
         level = next_level
 
 

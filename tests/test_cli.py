@@ -381,6 +381,12 @@ class TestSearch:
         assert (code, out) == (EXIT_GUARD, "")
         assert err == "refused: search budget exceeded: visited 11 subgroups, over the budget 10\n"
 
+    def test_set_mode_budget_refusal_names_count_and_limit(self, capsys):
+        # set mode counts every subgroup it yields, conjugates included
+        code, out, err = run(capsys, "search", "--p", "2", "--k", "3", "--dedupe", "set", "--budget", "10")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err == "refused: search budget exceeded: visited 11 subgroups, over the budget 10\n"
+
     def test_zero_budget_counts_the_trivial_subgroup(self, capsys):
         # the trivial subgroup counts against the budget like every other
         code, out, err = run(capsys, "search", "--p", "2", "--k", "3", "--budget", "0")

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from nilbound import search
-from nilbound.bounds import class2_exponent, f_upper
+from nilbound.bounds import class2_exponent, f_upper, prime_power
 from nilbound.constructions import dihedral_times_abelian, iterated_wreath_sylow, sylow_exponent
 from nilbound.perm import GuardExceeded, PermGroup, Permutation, nilpotency_class
 from nilbound.search import (
@@ -243,6 +243,76 @@ def test_witness_generators_are_the_greedy_scan(p, k):
                 closure = naive_closure(tables.degree, kept)
         assert tables.to_perm_group(K).generators == tuple(kept)
     assert count == STREAM_COUNTS[p, k][0]
+
+
+# two towers and a non-tower p-group whose generators include central ones
+STREAM_GROUPS = [
+    pytest.param(lambda: iterated_wreath_sylow(2, 3), id="2-3"),
+    pytest.param(lambda: iterated_wreath_sylow(3, 2), id="3-2"),
+    pytest.param(lambda: dihedral_times_abelian(5, 2), id="dihedral-times-abelian-5-2"),
+]
+
+
+@pytest.mark.parametrize("group", STREAM_GROUPS)
+def test_set_stream_is_the_union_of_the_conjugacy_orbits(group):
+    # oracle through Permutation products and the naive closure alone: the
+    # G-conjugates of every conjugacy-mode representative, level by level
+    group = group()
+    elements = [Permutation(im) for im in sorted(naive_closure(group.degree, group.generators))]
+    expected = set()
+    for rep in enumerate_subgroups(group, dedupe="conjugacy"):
+        members = [Permutation(im) for im in naive_closure(rep.degree, rep.generators)]
+        for g in elements:
+            g_inv = g.inverse()
+            expected.add(frozenset((g_inv * h * g).images for h in members))
+    # order, then descending mask order: of one order, the larger mask holds
+    # the least sorted elements
+    images = [g.images for g in elements]
+    expected = sorted(expected, key=lambda s: (len(s), [im not in s for im in images]))
+    assert [as_element_set(H) for H in enumerate_subgroups(group, dedupe="set")] == expected
+
+
+@pytest.mark.parametrize("group", STREAM_GROUPS)
+def test_mask_transitivity_matches_the_orbits(group):
+    group = group()
+    tables = _Tables(group)
+    p, _ = prime_power(len(tables.elements))
+    for mode in ("set", "conjugacy"):
+        for K, _ in search._iter_subgroup_sets(tables, p, mode, search.DEFAULT_BUDGET):
+            assert tables.is_transitive(K) == tables.to_perm_group(K).is_transitive()
+
+
+def test_mask_transitivity_at_degrees_zero_and_one():
+    # perm's convention: the empty set has no orbit, a single point is one
+    for degree in (0, 1):
+        tables = _Tables(PermGroup(degree))
+        transitive = tables.is_transitive(tables.trivial)
+        assert transitive == PermGroup(degree).is_transitive() == bool(degree)
+
+
+# set-mode refusals on tower(2,3) by budget: the count and digest of the
+# subgroups yielded before each
+SET_BUDGET_PINS = {
+    10: (1, "9212c92d1310a865a8ce9b1bea68125b0ba10e07eb8b155c15bf0a33b17cbfec"),
+    11: (1, "9212c92d1310a865a8ce9b1bea68125b0ba10e07eb8b155c15bf0a33b17cbfec"),
+    100: (44, "92f3a5669a7b30df7228281c9c6682c09239f76eb74248ccd2a2c59b49bcaabf"),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(SET_BUDGET_PINS))
+def test_set_mode_refusal_is_pinned(budget):
+    # the set stream counts every subgroup it yields, one at a time, so a
+    # refusal names budget + 1 after the same prefix of whole levels
+    count, prefix_digest = SET_BUDGET_PINS[budget]
+    yielded = []
+    with pytest.raises(
+        GuardExceeded,
+        match=f"^search budget exceeded: visited {budget + 1} subgroups, over the budget {budget}$",
+    ):
+        for H in enumerate_subgroups(iterated_wreath_sylow(2, 3), "set", max_count=budget):
+            yielded.append(H.dumps())
+    assert len(yielded) == count
+    assert hashlib.sha256("".join(f"{s}\n" for s in yielded).encode()).hexdigest() == prefix_digest
 
 
 def test_class_needs_the_normal_closure():
