@@ -17,10 +17,16 @@ central series seeds each term with the commutators of Y and the seeds that
 closed the term before (Holt, Eick & O'Brien, "Handbook of Computational
 Group Theory", 2005).  The series and the center close members of G, which
 are not checked again.  A chain attached to a group is never mutated
-afterwards, so groups are safe to share across threads.  Products run in C,
-``a * b`` as ``itemgetter(*a)(b)`` on the image tuples, and the identity test
-compares with the images of one cached identity per degree.  Past order
-``ELEMENT_LIMIT``, a group's element list and its center are refused.
+afterwards, so groups are safe to share across threads.  The engine works on
+image tuples, not Permutation objects: a chain's levels, the seeds and
+conjugators of a closure and a group's normal generators are tuples, and
+Permutations are made only where the public API hands elements back
+(``elements()`` and the generators of a closure).  A product "apply a, then
+b" runs in C as ``itemgetter(*a)(b)``, and the identity test compares with
+one cached ``tuple(range(n))`` per degree; no product is formed below degree
+2, where itemgetter would return a point or fail.  The engine only combines
+tuples of one group, whose generators' degrees PermGroup checks once.  Past
+order ``ELEMENT_LIMIT``, a group's element list and its center are refused.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 ELEMENT_LIMIT = 1_000_000  # the largest order whose elements or center are computed
+
+_Images = tuple[int, ...]  # a permutation as its image tuple: point x goes to images[x]
 
 
 class GroupError(Exception):
@@ -70,7 +78,7 @@ class Permutation:
     def identity(degree: int) -> Permutation:
         if degree < 0:
             raise ValueError(f"degree must be non-negative, got {degree}")
-        return _raw(tuple(range(degree)))
+        return _raw(_identity(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> Permutation:
@@ -116,10 +124,7 @@ class Permutation:
         return _raw(itemgetter(*self._images)(other._images))
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self._images)
-        for i, x in enumerate(self._images):
-            inv[x] = i
-        return _raw(tuple(inv))
+        return _raw(_inverse(self._images))
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
@@ -135,7 +140,7 @@ class Permutation:
         return Permutation.identity(self.degree) if result is None else result
 
     def is_identity(self) -> bool:
-        return self._images == Permutation.identity(len(self._images))._images
+        return self._images == _identity(len(self._images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
@@ -172,11 +177,23 @@ class Permutation:
         return f"Permutation[{self.degree}: {text}]"
 
 
-def _raw(images: tuple[int, ...]) -> Permutation:
+def _raw(images: _Images) -> Permutation:
     """Wrap an image tuple that is already known to be a bijection."""
     p = Permutation.__new__(Permutation)
     p._images = images
     return p
+
+
+@functools.cache
+def _identity(degree: int) -> _Images:
+    return tuple(range(degree))
+
+
+def _inverse(images: _Images) -> _Images:
+    inv = [0] * len(images)
+    for i, x in enumerate(images):
+        inv[x] = i
+    return tuple(inv)
 
 
 def commutator(x: Permutation, y: Permutation) -> Permutation:
@@ -185,53 +202,53 @@ def commutator(x: Permutation, y: Permutation) -> Permutation:
 
 
 class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    that move it, a transversal mapping each orbit point to a coset
-    representative u with point_base^u = point, and the inverses of those
-    representatives."""
+    """One level of a stabilizer chain, every element an image tuple: a base
+    point, the strong generators that move it, a transversal mapping each
+    orbit point to a coset representative u with point_base^u = point, and
+    the inverses of those representatives."""
 
     __slots__ = ("point", "gens", "transversal", "inverses")
 
-    def __init__(self, point: int, identity: Permutation):
+    def __init__(self, point: int, identity: _Images):
         self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {point: identity}
-        self.inverses: dict[int, Permutation] = {point: identity}
+        self.gens: list[_Images] = []
+        self.transversal: dict[int, _Images] = {point: identity}
+        self.inverses: dict[int, _Images] = {point: identity}
 
 
-def _sift(levels: list[_Level], h: Permutation, start: int = 0) -> Permutation:
-    """Strip h through levels[start:]; the residue is the identity exactly
-    when h lies in the group those levels describe."""
+def _sift(levels: list[_Level], h: _Images, start: int = 0) -> _Images:
+    """Strip the image tuple h through levels[start:]; the residue is the
+    identity exactly when h lies in the group those levels describe."""
     for level in itertools.islice(levels, start, None):
-        x = h.images[level.point]
+        x = h[level.point]
         if x != level.point:
             if x not in level.inverses:
                 return h
-            h = h * level.inverses[x]
+            h = itemgetter(*h)(level.inverses[x])
     return h
 
 
-def _place(levels: list[_Level], g: Permutation) -> int:
+def _place(levels: list[_Level], g: _Images) -> int:
     """Store g at its home level, the first whose base point it moves, and
     return that level's index; when g fixes every base point, its home is a
     new last level based at the least point it moves."""
     for i, level in enumerate(levels):
-        if g.images[level.point] != level.point:
+        if g[level.point] != level.point:
             level.gens.append(g)
             return i
-    levels.append(_Level(_least_moved(g), Permutation.identity(g.degree)))
+    levels.append(_Level(_least_moved(g), _identity(len(g))))
     levels[-1].gens.append(g)
     return len(levels) - 1
 
 
-def _least_moved(g: Permutation) -> int:
-    return next(x for x, y in enumerate(g.images) if x != y)
+def _least_moved(g: _Images) -> int:
+    return next(x for x, y in enumerate(g) if x != y)
 
 
-def _build_chain(levels: list[_Level], generators: Iterable[Permutation]) -> list[_Level]:
+def _build_chain(levels: list[_Level], generators: Iterable[_Images]) -> list[_Level]:
     """Deterministic incremental Schreier-Sims: extend levels, a verified
     chain that no group holds yet ([] or base points with no generators), by
-    generators.
+    generators, image tuples of the chain's degree.
 
     A strong generator is stored at the first level whose base point it
     moves; the group at level i is generated by everything stored at levels
@@ -254,13 +271,13 @@ def _build_chain(levels: list[_Level], generators: Iterable[Permutation]) -> lis
     once per call.
     """
 
-    def level_gens(i: int) -> list[Permutation]:
+    def level_gens(i: int) -> list[_Images]:
         return [g for level in levels[i:] for g in level.gens]
 
     verified = {
         (i, id(s)): len(level.transversal) for i, level in enumerate(levels) for s in level_gens(i)
     }
-    inverse = functools.cache(Permutation.inverse)
+    inverse = functools.cache(_inverse)
 
     def extend_transversals(top: int) -> None:
         for j, level in enumerate(levels[: top + 1]):
@@ -271,25 +288,26 @@ def _build_chain(levels: list[_Level], generators: Iterable[Permutation]) -> lis
                 x = frontier.pop()
                 u = transversal[x]
                 for s in gens:
-                    y = s.images[x]
+                    y = s[x]
                     if y not in transversal:
-                        transversal[y] = u * s
-                        inverses[y] = inverse(s) * inverses[x]
+                        transversal[y] = itemgetter(*u)(s)
+                        inverses[y] = itemgetter(*inverse(s))(inverses[x])
                         frontier.append(y)
 
-    def first_residue(i: int) -> Permutation | None:
+    def first_residue(i: int) -> _Images | None:
         """Sift the Schreier generators of level i not verified yet; return
         the first non-identity residue, or None once all are verified."""
         level = levels[i]
+        identity = level.transversal[level.point]
         points = list(level.transversal.items())
         for s in level_gens(i):
             key = (i, id(s))
             for k in range(verified.get(key, 0), len(points)):
                 x, u = points[k]
-                us, y = u * s, s.images[x]
+                us, y = itemgetter(*u)(s), s[x]
                 if us != level.transversal[y]:
-                    residue = _sift(levels, us * level.inverses[y], i + 1)
-                    if not residue.is_identity():
+                    residue = _sift(levels, itemgetter(*us)(level.inverses[y]), i + 1)
+                    if residue != identity:
                         # this pair is residue times deeper transversal
                         # elements, so placing residue verifies it
                         verified[key] = k + 1
@@ -297,7 +315,7 @@ def _build_chain(levels: list[_Level], generators: Iterable[Permutation]) -> lis
             verified[key] = len(points)
         return None
 
-    i = max((_place(levels, g) for g in generators if not g.is_identity()), default=-1)
+    i = max((_place(levels, g) for g in generators if g != _identity(len(g))), default=-1)
     extend_transversals(i)
     while i >= 0:
         residue = first_residue(i)
@@ -311,7 +329,7 @@ def _build_chain(levels: list[_Level], generators: Iterable[Permutation]) -> lis
     return levels
 
 
-def _adjoin(levels: list[_Level], w: Permutation, q: int) -> None:
+def _adjoin(levels: list[_Level], w: _Images, q: int) -> None:
     """Extend levels, the verified chain of M, to that of <M, w>, where w
     normalizes M, w^q lies in M and w does not (q prime).
 
@@ -320,39 +338,53 @@ def _adjoin(levels: list[_Level], w: Permutation, q: int) -> None:
     levels >= i, and r^q lies in M_i.  r moves level i's base point out of
     its M_i-orbit D and permutes the M_i-orbits with period q, so <M_i, r>
     has the orbit D, D^r, ..., D^(r^(q-1)): u_(x^(r^a)) = u_x r^a, with
-    inverse r^-a u_x^-1.  That growth is all of the index q, so the other
-    levels stay verified, and no Schreier generator is sifted.
+    inverse r^-a u_x^-1, the product r^-1 * u^-1 by one getter built from
+    r^-1.  That growth is all of the index q, so the other levels stay
+    verified, and no Schreier generator is sifted.
     """
     r = _sift(levels, w)
     level = levels[_place(levels, r)]
-    r_inv = r.inverse()
+    r_inv = itemgetter(*_inverse(r))
     coset = [(x, u, level.inverses[x]) for x, u in level.transversal.items()]
     for _ in range(q - 1):
-        coset = [(r.images[x], u * r, r_inv * u_inv) for x, u, u_inv in coset]
+        coset = [(r[x], itemgetter(*u)(r), r_inv(u_inv)) for x, u, u_inv in coset]
         for y, u, u_inv in coset:
             level.transversal[y] = u
             level.inverses[y] = u_inv
 
 
-def _least_prime(w: Permutation) -> int:
+def _least_prime(w: _Images) -> int:
     """The least prime dividing the order of w, which is not the identity:
-    the least d > 1 dividing the length of one of its cycles."""
-    lengths = {len(c) for c in w.cycles()}
-    return next(d for d in itertools.count(2) if any(n % d == 0 for n in lengths))
+    the least d > 1 dividing the length of one of its cycles, 2 as soon as
+    one cycle has even length."""
+    seen = bytearray(len(w))
+    lengths = set()
+    for start in range(len(w)):
+        if not seen[start]:
+            n, x = 0, start
+            while not seen[x]:
+                seen[x] = 1
+                x = w[x]
+                n += 1
+            if n % 2 == 0:
+                return 2
+            lengths.add(n)
+    return next(d for d in itertools.count(3) if any(n % d == 0 for n in lengths))
 
 
 def _close(
     levels: list[_Level],
-    conjugators: list[tuple[Permutation, Permutation]],
-    seed: Permutation,
-    adjoined: list[Permutation],
+    conjugators: list[tuple[_Images, _Images]],
+    seed: _Images,
+    adjoined: list[_Images],
 ) -> bool:
     """Grow levels, the verified chain of a normal subgroup M of G, to that
     of the normal closure of <M, seed> (seed in G), appending each adjoined
     element to adjoined; conjugators holds (g^-1, g) for g in G that with M
     generate G, such as G's normal generators (a g in M may be left out:
     [w, g] lies in M).  False, with levels still a chain of a normal
-    subgroup, when the loop proves G is not nilpotent.
+    subgroup, when the loop proves G is not nilpotent.  Every element is an
+    image tuple.
 
     The top w of a stack started at the seed is adjoined once w^q (q the
     least prime dividing w's order) and every [w, g] lie in M: then wM is
@@ -368,30 +400,35 @@ def _close(
     nilpotent: power steps alone lower the order, and a cycle through a
     commutator step puts it in every lower-central term.
     """
-    if _sift(levels, seed).is_identity():
+    identity = _identity(len(seed))
+    if _sift(levels, seed) == identity:
         return True
-    limit = math.factorial(seed.degree).bit_length()
+    limit = math.factorial(len(seed)).bit_length()
 
-    def frame(w: Permutation):
+    def frame(w: _Images):
         q = _least_prime(w)
 
         def children():
-            yield w**q
-            w_inv = w.inverse()
+            # w^q as q - 1 products w * w^a, by one getter built from w
+            step, power = itemgetter(*w), w
+            for _ in range(1, q):
+                power = step(power)
+            yield power
+            w_inv = itemgetter(*_inverse(w))
             for g_inv, g in conjugators:
-                yield w_inv * g_inv * w * g
+                yield itemgetter(*itemgetter(*w_inv(g_inv))(w))(g)  # w^-1 g^-1 w g
 
         return w, q, children()
 
     stack = [frame(seed)]
     while stack:
         w, q, children = stack[-1]
-        h = next((h for h in children if not _sift(levels, h).is_identity()), None)
+        h = next((h for h in children if _sift(levels, h) != identity), None)
         if h is None:
             stack.pop()
             _adjoin(levels, w, q)
             adjoined.append(w)
-            while stack and _sift(levels, stack[-1][0]).is_identity():
+            while stack and _sift(levels, stack[-1][0]) == identity:
                 stack.pop()
         elif len(stack) >= limit or any(h == f[0] for f in stack):
             return False
@@ -402,20 +439,21 @@ def _close(
 
 def _worklist_closure(
     levels: list[_Level],
-    conjugators: list[tuple[Permutation, Permutation]],
-    seed: Permutation,
-    adjoined: list[Permutation],
+    conjugators: list[tuple[_Images, _Images]],
+    seed: _Images,
+    adjoined: list[_Images],
 ) -> bool:
     """_close by Schreier-Sims, for any G: a candidate that sifts through
     the chain is dropped; any other is appended to adjoined, extends the
     chain and queues its conjugates g^-1 h g.  Always True."""
+    identity = _identity(len(seed))
     queue = collections.deque([seed])
     while queue:
         h = queue.popleft()
-        if not _sift(levels, h).is_identity():
+        if _sift(levels, h) != identity:
             adjoined.append(h)
             _build_chain(levels, (h,))
-            queue.extend(g_inv * h * g for g_inv, g in conjugators)
+            queue.extend(itemgetter(*itemgetter(*g_inv)(h))(g) for g_inv, g in conjugators)
     return True
 
 
@@ -432,7 +470,7 @@ class PermGroup:
         self._degree = degree
         self._generators = generators
         self._chain: list[_Level] | None = None
-        self._normal: Sequence[Permutation] = generators
+        self._normal: Sequence[_Images] = ()  # set with _chain
         self._engine = _close  # grows every chain in self; _levels may pick the worklist
         self._lock = threading.Lock()
 
@@ -452,37 +490,43 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    first = next((g for g in self._generators if not g.is_identity()), None)
-                    levels = [] if first is None else [_Level(_least_moved(first), self.identity)]
-                    normal: list[Permutation] = []
-                    if not self._nilpotent_chain(levels, normal):
-                        levels, normal, self._engine = _build_chain([], self._generators), list(self._generators), _worklist_closure
+                    gens = [g.images for g in self._generators]
+                    identity = _identity(self._degree)
+                    first = next((g for g in gens if g != identity), None)
+                    levels = [] if first is None else [_Level(_least_moved(first), identity)]
+                    normal: list[_Images] = []
+                    if not self._nilpotent_chain(levels, gens, normal):
+                        levels, normal, self._engine = _build_chain([], gens), gens, _worklist_closure
                     self._normal, self._chain = normal, levels
         return self._chain
 
-    def _nilpotent_chain(self, levels: list[_Level], normal: list[Permutation]) -> bool:
+    def _nilpotent_chain(
+        self, levels: list[_Level], gens: list[_Images], normal: list[_Images]
+    ) -> bool:
         """Grow levels, base points with no generators yet, to a chain of
-        self by adjoins of the push loop, seeded in turn with each generator
-        not in the closure M so far and appending it to normal; a generator
-        in M is dropped from the conjugators.  False if the push loop proves
-        self is not nilpotent.
+        self by adjoins of the push loop, seeded in turn with each of gens,
+        the images of self's generators, not in the closure M so far and
+        appending it to normal; a generator in M is dropped from the
+        conjugators.  False if the push loop proves self is not nilpotent.
 
         The seeds are self's normal generators Y: their normal closure is
         self, so for nilpotent self they generate it (G' lies in the
         Frattini subgroup), and closures in self conjugate by them."""
-        conjugators = [(g.inverse(), g) for g in self._generators]
-        for seed in self._generators:
-            if _sift(levels, seed).is_identity():
+        identity = _identity(self._degree)
+        conjugators = [(_inverse(g), g) for g in gens]
+        for seed in gens:
+            if _sift(levels, seed) == identity:
                 continue
             normal.append(seed)
             if not _close(levels, conjugators, seed, []):
                 return False
-            conjugators = [(g_inv, g) for g_inv, g in conjugators if not _sift(levels, g).is_identity()]
+            conjugators = [(g_inv, g) for g_inv, g in conjugators if _sift(levels, g) != identity]
         return True
 
-    def _normal_generators(self) -> Sequence[Permutation]:
-        """Elements whose normal closure is self and which generate it: the
-        normal generators Y for nilpotent self, else all the generators."""
+    def _normal_generators(self) -> Sequence[_Images]:
+        """Image tuples whose normal closure is self and which generate it:
+        the normal generators Y for nilpotent self, else all the
+        generators."""
         self._levels()
         return self._normal
 
@@ -495,7 +539,7 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation) or g.degree != self._degree:
             return False
-        return _sift(self._levels(), g).is_identity()
+        return _sift(self._levels(), g.images) == _identity(self._degree)
 
     def is_abelian(self) -> bool:
         gens = self._generators
@@ -507,12 +551,13 @@ class PermGroup:
         """The orbit of point, sorted ascending."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
+        gens = [g.images for g in self._generators]
         seen = {point}
         frontier = [point]
         while frontier:
             x = frontier.pop()
-            for g in self._generators:
-                y = g.images[x]
+            for g in gens:
+                y = g[x]
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -529,20 +574,22 @@ class PermGroup:
         """All group elements; raises GuardExceeded when order > ELEMENT_LIMIT."""
         if self.order() > ELEMENT_LIMIT:
             raise GuardExceeded(f"group of order {self.order()} exceeds element limit {ELEMENT_LIMIT}")
-        products = [self.identity]
+        products = [_identity(self._degree)]
         for level in reversed(self._levels()):
-            products = [rest * u for rest in products for u in level.transversal.values()]
-        return products
+            us = list(level.transversal.values())
+            products = [get(u) for get in (itemgetter(*rest) for rest in products) for u in us]
+        return list(map(_raw, products))
 
-    def _closure(self, seeds: Sequence[Permutation]) -> tuple[PermGroup, list[Permutation]]:
-        """The normal closure of the seeds, members of self not checked
-        again, and the seeds it closed (those outside the closure of the
-        ones before, for which the engine adjoined): one pass of the engine
-        self's chain build picked, so the push loop cannot give up."""
-        conjugators = [(g.inverse(), g) for g in self._normal_generators()]
-        gens: list[Permutation] = []
+    def _closure(self, seeds: Sequence[_Images]) -> tuple[PermGroup, list[_Images]]:
+        """The normal closure of the seeds, image tuples of members of self
+        not checked again, and the seeds it closed (those outside the
+        closure of the ones before, for which the engine adjoined): one pass
+        of the engine self's chain build picked, so the push loop cannot
+        give up."""
+        conjugators = [(_inverse(g), g) for g in self._normal_generators()]
+        gens: list[_Images] = []
         levels: list[_Level] = []
-        closed: list[Permutation] = []
+        closed: list[_Images] = []
         for h in seeds:
             adjoined = len(gens)
             if not self._engine(levels, conjugators, h, gens):
@@ -587,12 +634,14 @@ class PermGroup:
         return f"PermGroup(degree={self._degree}, ngens={len(self._generators)})"
 
 
-def _group_on(parent: PermGroup, gens: list[Permutation], levels: list[_Level]) -> PermGroup:
-    """The subgroup of parent generated by gens, keeping levels, a verified
-    chain of it, and parent's engine: a subgroup of a nilpotent group is
-    nilpotent, and the worklist serves any group."""
-    group = PermGroup(parent.degree, gens)
+def _group_on(parent: PermGroup, gens: list[_Images], levels: list[_Level]) -> PermGroup:
+    """The subgroup of parent generated by gens, image tuples, keeping
+    levels, a verified chain of it, gens as its normal generators, and
+    parent's engine: a subgroup of a nilpotent group is nilpotent, and the
+    worklist serves any group."""
+    group = PermGroup(parent.degree, map(_raw, gens))
     group._engine, group._chain = parent._engine, levels
+    group._normal = gens
     return group
 
 
@@ -610,13 +659,13 @@ class CentralSeries:
         return [t.order() for t in self.terms]
 
 
-def _commutators(xs: Sequence[Permutation], ys: Sequence[Permutation]) -> list[Permutation]:
-    """The non-identity commutators [x, y] = x^-1 y^-1 x y, x-major,
-    inverting each element once."""
-    x_pairs = [(x.inverse(), x) for x in xs]
-    y_pairs = [(y.inverse(), y) for y in ys]
-    seeds = (xi * yi * x * y for xi, x in x_pairs for yi, y in y_pairs)
-    return [s for s in seeds if not s.is_identity()]
+def _commutators(xs: Sequence[_Images], ys: Sequence[_Images]) -> list[_Images]:
+    """The non-identity commutators [x, y] = x^-1 y^-1 x y of image tuples,
+    x-major, inverting each element once."""
+    x_pairs = [(itemgetter(*_inverse(x)), x) for x in xs]
+    y_pairs = [(_inverse(y), y) for y in ys]
+    seeds = (itemgetter(*itemgetter(*xi(yi))(x))(y) for xi, x in x_pairs for yi, y in y_pairs)
+    return [s for s in seeds if s != _identity(len(s))]
 
 
 def lower_central_series(G: PermGroup) -> CentralSeries:
@@ -648,9 +697,9 @@ def nilpotency_class(G: PermGroup) -> int:
     return series.nilpotency_class
 
 
-def _central_from_point_images(G: PermGroup) -> list[Permutation]:
-    """The nonidentity central elements of a transitive nonabelian G, found
-    without listing G.
+def _central_from_point_images(G: PermGroup) -> list[_Images]:
+    """The nonidentity central elements of a transitive nonabelian G, as
+    image tuples, found without listing G.
 
     Level 0 of G's chain has base point b and, G being transitive, a u_y
     with b^u_y = y for every point y; the deeper levels generate G_b.  A
@@ -663,11 +712,12 @@ def _central_from_point_images(G: PermGroup) -> list[Permutation]:
     """
     levels = G._levels()
     b = levels[0].point
-    stabilizer_gens = [s.images for level in levels[1:] for s in level.gens]
+    stabilizer_gens = [s for level in levels[1:] for s in level.gens]
     fixed = [t for t in range(G.degree) if t != b and all(s[t] == t for s in stabilizer_gens)]
-    u = [levels[0].transversal[y].images for y in range(G.degree)]
-    candidates = (_raw(tuple(u_y[t] for u_y in u)) for t in sorted(fixed, key=u[0].__getitem__))
-    return [z for z in candidates if z in G]
+    u = [levels[0].transversal[y] for y in range(G.degree)]
+    candidates = (tuple(u_y[t] for u_y in u) for t in sorted(fixed, key=u[0].__getitem__))
+    identity = _identity(G.degree)
+    return [z for z in candidates if _sift(levels, z) == identity]
 
 
 def center(G: PermGroup) -> PermGroup:
@@ -692,7 +742,7 @@ def center(G: PermGroup) -> PermGroup:
         central = _central_from_point_images(G)
     else:
         central = [
-            z
+            z.images
             for z in G.elements()
             if not z.is_identity() and all(z * g == g * z for g in G.generators)
         ]

@@ -73,44 +73,55 @@ def naive_closure(degree: int, gens, limit: int = NAIVE_CLOSURE_LIMIT) -> set[tu
     return closed
 
 
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of "apply a, then b"."""
+    return tuple(b[x] for x in a)
+
+
 def assert_chain_verified(levels, generators) -> None:
-    """Re-verify a stabilizer chain from scratch (oracle for the incremental
-    chain builder, sharing none of its bookkeeping): each strong generator
-    fixes the base points above its level and moves its own, each
-    transversal entry u_x sends the base point to x and cancels with its
-    stored inverse, every Schreier generator u_x * s * u_{x^s}^-1 of level i
-    (s over the generators at levels >= i) sifts to the identity through
-    the deeper levels, and so does every one of the given generators."""
+    """Re-verify a stabilizer chain of image tuples from scratch (oracle for
+    the incremental chain builder, sharing none of its bookkeeping or its
+    products): each strong generator fixes the base points above its level
+    and moves its own, each transversal entry u_x sends the base point to x
+    and cancels with its stored inverse, every Schreier generator
+    u_x * s * u_{x^s}^-1 of level i (s over the generators at levels >= i)
+    sifts to the identity through the deeper levels, and so does every one
+    of the given generators (Permutations)."""
 
     def sifts_to_identity(h, deeper) -> bool:
         for level in deeper:
-            x = h.images[level.point]
+            x = h[level.point]
             if x not in level.transversal:
                 return False
-            h = h * level.inverses[x]
-        return h.is_identity()
+            h = compose(h, level.inverses[x])
+        return h == tuple(range(len(h)))
 
     for i, level in enumerate(levels):
         for s in level.gens:
-            assert s.images[level.point] != level.point
-            assert all(s.images[above.point] == above.point for above in levels[:i])
+            assert s[level.point] != level.point
+            assert all(s[above.point] == above.point for above in levels[:i])
         assert level.transversal.keys() == level.inverses.keys()
         gens = [s for deeper in levels[i:] for s in deeper.gens]
         for x, u in level.transversal.items():
-            assert u.images[level.point] == x
-            assert (u * level.inverses[x]).is_identity()
+            assert u[level.point] == x
+            assert compose(u, level.inverses[x]) == tuple(range(len(u)))
             for s in gens:
-                y = s.images[x]
+                y = s[x]
                 assert y in level.transversal, "orbit not closed"
-                schreier = u * s * level.inverses[y]
+                schreier = compose(compose(u, s), level.inverses[y])
                 assert sifts_to_identity(schreier, levels[i + 1 :]), (i, x, s)
-    assert all(sifts_to_identity(g, levels) for g in generators)
+    assert all(sifts_to_identity(g.images, levels) for g in generators)
+
+
+def build_chain(G: PermGroup, point: int) -> list:
+    """A verified Schreier-Sims chain of G based first at point."""
+    return perm._build_chain([perm._Level(point, G.identity.images)], [g.images for g in G.generators])
 
 
 def stabilizer_levels(G: PermGroup, point: int) -> list:
     """A verified chain of the stabilizer of point in G: the levels below
     the first of a Schreier-Sims chain of G based at point."""
-    return perm._build_chain([perm._Level(point, G.identity)], G.generators)[1:]
+    return build_chain(G, point)[1:]
 
 
 def stabilizer_order(G: PermGroup, point: int) -> int:
@@ -201,7 +212,7 @@ def build_corpus() -> list[tuple[str, PermGroup]]:
         ("dihedral(4,3)", dihedral_times_abelian(4, 3)),
         ("dihedral(5,4)", dihedral_times_abelian(5, 4)),
         ("D4xC3", product_action(iterated_wreath_sylow(2, 2), cyclic(3))),
-        ("stab(W(2,3),0)", PermGroup(8, [g for level in tower[1:] for g in level.gens])),
+        ("stab(W(2,3),0)", PermGroup(8, [Permutation(g) for level in tower[1:] for g in level.gens])),
     ]
     return corpus
 

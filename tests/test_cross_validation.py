@@ -111,7 +111,7 @@ def test_centers_off_base_point_0_match():
         stabilizer = [s for level in stabilizer_levels(G, 0) for s in level.gens]
         if not stabilizer:
             continue
-        H = PermGroup(G.degree, (stabilizer[0],) + G.generators)
+        H = PermGroup(G.degree, (Permutation(stabilizer[0]),) + G.generators)
         assert H._levels()[0].point != 0, kind
         assert_center_matches_sympy(H)
         moved += 1
@@ -137,7 +137,7 @@ def test_center_generators_do_not_depend_on_the_base_point(p, k):
             continue
         first = next(g for g in G.generators if g(0) != 0)
         at_0 = PermGroup(G.degree, (first,) + G.generators)
-        off_0 = PermGroup(G.degree, (stabilizer[0],) + G.generators)
+        off_0 = PermGroup(G.degree, (Permutation(stabilizer[0]),) + G.generators)
         assert at_0._levels()[0].point == 0 != off_0._levels()[0].point
         assert center(off_0).generators == center(at_0).generators
         moved += 1

@@ -28,9 +28,7 @@ from nilbound.perm import (
     commutator,
     lower_central_series,
     nilpotency_class,
-    _build_chain,
     _central_from_point_images,
-    _Level,
 )
 from nilbound.search import enumerate_subgroups
 
@@ -40,7 +38,9 @@ from conftest import (
     WITNESS_BLUEPRINTS,
     abelian_groups,
     assert_chain_verified,
+    build_chain,
     build_corpus,
+    compose,
     cyclic,
     klein_four,
     naive_closure,
@@ -238,13 +238,13 @@ class TestNormalClosureAndCommutators:
 
     def test_full_seeds(self):
         G = iterated_wreath_sylow(2, 2)
-        assert G._closure(list(G.generators))[0].order() == G.order()
+        assert G._closure([g.images for g in G.generators])[0].order() == G.order()
 
     def test_dihedral_center_seed(self):
         # the square of the 4-cycle generates a normal subgroup of order 2
         r = Permutation.from_cycles(4, (0, 1, 2, 3))
         G = PermGroup(4, [r, Permutation.from_cycles(4, (0, 2))])
-        N = G._closure([r * r])[0]
+        N = G._closure([(r * r).images])[0]
         assert N.order() == 2
         # oracle: closed under conjugation by everything
         for images in naive_closure(4, G.generators):
@@ -253,15 +253,17 @@ class TestNormalClosureAndCommutators:
 
     def test_series_and_center_do_not_retest_their_seeds(self, monkeypatch):
         # the series seeds with commutators of members, and the center
-        # closes only candidates it has tested once each: no seed is
-        # checked against G again
+        # closes only candidates it has tested once each: once G's chain is
+        # built, no element is sifted through it, by a membership test or
+        # otherwise, but the center's candidates
         groups = [G for _, G in build_corpus()] + [realize_json(bp) for bp in WITNESS_BLUEPRINTS]
         tested = []
-        real_contains = PermGroup.__contains__
+        real_sift = perm._sift
 
-        def contains(group, g):
-            tested.append(g)
-            return real_contains(group, g)
+        def sift(levels, h, start=0):
+            if levels is chain:
+                tested.append(h)
+            return real_sift(levels, h, start)
 
         for G in groups:
             G = PermGroup(G.degree, G.generators)  # no chain yet
@@ -269,8 +271,9 @@ class TestNormalClosureAndCommutators:
             if not G.is_abelian() and G.is_transitive():
                 # one per point fixed by a point stabilizer, other than its own
                 stabilizer = [s for level in stabilizer_levels(G, 0) for s in level.gens]
-                candidates = sum(all(s(t) == t for s in stabilizer) for t in range(1, G.degree))
-            monkeypatch.setattr(PermGroup, "__contains__", contains)
+                candidates = sum(all(s[t] == t for s in stabilizer) for t in range(1, G.degree))
+            chain = G._levels()
+            monkeypatch.setattr(perm, "_sift", sift)
             lower_central_series(G)
             assert tested == [], G.generators
             if G.order() <= perm.ELEMENT_LIMIT:
@@ -283,7 +286,7 @@ class TestNormalClosureAndCommutators:
         G = iterated_wreath_sylow(2, 3)
         gens, order, chain = G.generators, G.order(), G._levels()
         snapshot = [(lv.point, list(lv.gens), dict(lv.transversal)) for lv in chain]
-        N = G._closure([commutator(G.generators[0], G.generators[2])])[0]
+        N = G._closure([commutator(G.generators[0], G.generators[2]).images])[0]
         assert 1 < N.order() < order
         assert G.generators == gens and G.order() == order
         assert G._levels() is chain
@@ -435,9 +438,9 @@ class TestChainOracle:
             for point in range(G.degree):
                 # a chain with its base fixed at point; the levels below
                 # the first are the stabilizer's chain
-                levels = _build_chain([_Level(point, G.identity)], G.generators)
+                levels = build_chain(G, point)
                 assert_chain_verified(levels, G.generators)
-                stabilizer = [s for level in levels[1:] for s in level.gens]
+                stabilizer = [Permutation(s) for level in levels[1:] for s in level.gens]
                 assert_chain_verified(levels[1:], stabilizer)
                 assert G.order() == len(G.orbit(point)) * stabilizer_order(G, point), name
 
@@ -466,11 +469,11 @@ class TestChainOracle:
             levels = G._levels()
             # a chain that starts with a base point already in place
             point = next(x for x in range(G.degree) if not levels or x != levels[0].point)
-            perm._build_chain([_Level(point, G.identity)], G.generators)
+            build_chain(G, point)
             lower_central_series(G)
         for levels in chains:
             non_tree = sum(
-                u * s != level.transversal[s.images[x]]
+                compose(u, s) != level.transversal[s[x]]
                 for i, level in enumerate(levels)
                 for s in [g for deeper in levels[i:] for g in deeper.gens]
                 for x, u in level.transversal.items()
@@ -491,6 +494,39 @@ class TestChainOracleOnSchreierSims(TestChainOracle):
     """TestChainOracle again with the push loop switched off, so every
     chain, normal closure and series term of the groups each test makes is
     grown by the Schreier-Sims fallback."""
+
+
+@pytest.mark.parametrize("engine", ["push loop", "worklist"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_small_degrees_run_every_kernel_path(degree, engine):
+    # the kernel's product itemgetter(*a)(b) returns a scalar for a
+    # one-point a and raises for an empty one, so no path may multiply below
+    # degree 2: the trivial groups, and at degree 2 the group of the
+    # transposition, through order, membership, elements, both chain
+    # builders, closures by either engine, the series and the center
+    identity = Permutation.identity(degree)
+    groups = [PermGroup(degree), PermGroup(degree, [identity, identity])]
+    if degree == 2:
+        groups.append(PermGroup(2, [Permutation((1, 0)), identity]))
+    for G in groups:
+        closure = naive_closure(degree, G.generators)
+        assert G.order() == len(closure)
+        assert_chain_verified(G._levels(), G.generators)
+        assert_chain_verified(perm._build_chain([], [g.images for g in G.generators]), G.generators)
+        if engine == "worklist":
+            G._engine = perm._worklist_closure
+        assert {g.images for g in G.elements()} == closure
+        assert identity in G and all(Permutation(x) in G for x in closure)
+        if degree == 2:
+            assert (Permutation((1, 0)) in G) == (G.order() == 2)
+        assert G._closure([])[0].order() == 1
+        N, closed = G._closure([identity.images, *sorted(closure)])
+        assert N.order() == G.order() and len(closed) == (G.order() > 1)
+        assert_chain_verified(N._levels(), N.generators)
+        series = lower_central_series(G)
+        assert series.order_profile() == sorted({G.order(), 1}, reverse=True)
+        assert series.nilpotency_class == (G.order() > 1)
+        assert center(G).order() == G.order()
 
 
 def naive_series_profile(H: PermGroup) -> list[int]:
@@ -574,11 +610,11 @@ class TestAdjoinPath:
         # push loop again: not the closure, nor the series terms and
         # closures of G's subgroups, which must match the oracles
         gave_up.clear()
-        N = G._closure([G.generators[0]])[0]
+        N = G._closure([G.generators[0].images])[0]
         assert gave_up == []
         for H in [*series.terms, N]:
             x = H.generators[0]
-            closure = H._closure([x])[0]
+            closure = H._closure([x.images])[0]
             assert {g.images for g in closure.elements()} == naive_closure(
                 H.degree, [g.inverse() * x * g for g in H.elements()]
             )
@@ -598,7 +634,8 @@ class TestAdjoinPath:
         for name, G in groups:
             Y = G._normal_generators()
             rest = iter(G.generators)
-            assert all(any(y is g for g in rest) for y in Y), name
+            assert all(any(y is g.images for g in rest) for y in Y), name
+            Y = [Permutation(y) for y in Y]
             if G.order() <= NAIVE_CLOSURE_LIMIT:
                 assert len(naive_closure(G.degree, Y)) == G.order(), name
             else:
@@ -679,7 +716,7 @@ class TestCenter:
                 if not z.is_identity() and all(z * g == g * z for g in G.generators)
             ]
             candidates = _central_from_point_images(G)
-            assert candidates == sorted(scan, key=lambda z: z.images[0]), G.generators
+            assert candidates == [z.images for z in sorted(scan, key=lambda z: z.images[0])], G.generators
             assert len(candidates) == center(G).order() - 1
             checked += 1
         assert checked > 0
@@ -750,6 +787,35 @@ class TestEngineInvariants:
             for g in G.elements():
                 digest.update(f"{g.images}\n".encode())
         assert digest.hexdigest() == "8912cf4d9972f01c8563c68bc4585acf5de9be59b76116563df488539e44edf9"
+
+    def test_chains_are_pinned(self):
+        # a rewrite of the kernel must build exactly these chains: base
+        # points, strong generators and transversal key order of each
+        # group's own chain, its series terms' and its center's, for the
+        # corpus, the witness groups and the A4 and S4 fall-back groups,
+        # then the Schreier-Sims chains of the corpus based at point 0
+        groups = [G for _, G in build_corpus()] + [realize_json(bp) for bp in WITNESS_BLUEPRINTS]
+        groups += [
+            PermGroup(4, [Permutation(g) for g in gens])
+            for gens in ([(1, 2, 0, 3), (0, 2, 3, 1)], [(1, 2, 3, 0), (1, 0, 2, 3)])
+        ]
+        digest = hashlib.sha256()
+
+        def update(levels):
+            for level in levels:
+                digest.update(f"{level.point} {level.gens} {list(level.transversal)}\n".encode())
+            digest.update(b"\n")
+
+        for G in groups:
+            G = PermGroup(G.degree, G.generators)  # no chain yet
+            update(G._levels())
+            for term in lower_central_series(G).terms[1:]:
+                update(term._levels())
+            if G.order() <= perm.ELEMENT_LIMIT:
+                update(center(G)._levels())
+        for _, G in build_corpus():
+            update(build_chain(G, 0))
+        assert digest.hexdigest() == "8db180a08c7e60bb48ee708483f77f7b4e30f7b414dbd0f88540a9c6ae91e0f5"
 
     def test_abelian_transitive_implies_regular(self, corpus):
         for name, G in corpus:
