@@ -129,7 +129,7 @@ def f_closed(k: int, c: int) -> int:
     if c == 1:
         return k
     if c == 2:
-        return (k // 2) * ((k + 1) // 2) + k
+        return class2_exponent(k)
     if (c, k) in _TABLE1_EXCEPTIONS:
         return _TABLE1_EXCEPTIONS[(c, k)]
     coeffs = _TABLE1[c][k % c]

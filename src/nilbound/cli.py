@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Any, Callable
 
 from . import bounds, search
 from .constructions import DEGREE_GUARD, GroupBlueprint, blueprint_from_json, realize, require_prime
@@ -52,6 +53,19 @@ def _read_json_arg(value: str) -> dict:
     return data
 
 
+def _parse_json_arg(value: str, parse: Callable[[dict], Any], what: str) -> Any:
+    """Apply parse to the JSON object _read_json_arg reads from value; a
+    KeyError, TypeError or ValueError it raises is a usage error about the
+    invalid what."""
+    data = _read_json_arg(value)
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise _UsageError(f"invalid {what}: missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"invalid {what}: {exc}")
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     require_prime(args.p)
     report = bounds.bound_report(args.p, args.k, args.c)
@@ -70,13 +84,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    data = _read_json_arg(args.blueprint)
-    try:
-        blueprint = blueprint_from_json(data)
-    except KeyError as exc:
-        raise _UsageError(f"invalid blueprint: missing key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"invalid blueprint: {exc}")
+    blueprint = _parse_json_arg(args.blueprint, blueprint_from_json, "blueprint")
     output = {"blueprint": blueprint.to_json(), "prediction": blueprint.prediction_json()}
     try:
         group = realize(blueprint)
@@ -109,18 +117,8 @@ def _verify_prediction(blueprint: GroupBlueprint, group: PermGroup) -> list[str]
     return problems
 
 
-def _load_group(value: str) -> PermGroup:
-    data = _read_json_arg(value)
-    try:
-        return PermGroup.from_json(data)
-    except KeyError as exc:
-        raise _UsageError(f"invalid group: missing key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"invalid group: {exc}")
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    group = _load_group(args.group)
+    group = _parse_json_arg(args.group, PermGroup.from_json, "group")
     # the degrees construct realizes; an n-cycle takes ~4x as long per doubling of n
     # (0.005 s at 256, 0.21 s at 2048, in process): the first level of its chain
     # holds n transversal elements of degree n and their inverses, one product each
@@ -202,7 +200,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     cmax = 16
     rows = []
     for k in range(1, 6):
-        if k <= search.TABLE2_EXHAUSTIVE_KMAX:
+        if 2**k <= search.EXHAUSTIVE_DEGREE_GUARD:
             rows.append((search.fnil_exact(2, k, cmax).exponents, "exact (exhaustive search)"))
         else:
             rows.append((search.TABLE2_REFERENCE[k], "reference (not recomputed)"))

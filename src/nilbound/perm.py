@@ -18,8 +18,9 @@ closed the term before (Holt, Eick & O'Brien, "Handbook of Computational
 Group Theory", 2005).  The series and the center close members of G, which
 are not checked again.  A chain attached to a group is never mutated
 afterwards, so groups are safe to share across threads.  The engine works on
-image tuples, not Permutation objects: a chain's levels, the seeds and
-conjugators of a closure and a group's normal generators are tuples, and
+image tuples, not Permutation objects: a chain's levels and the seeds of a
+closure are tuples, a group's normal generators are stored once with their
+inverses as (y^-1, y) pairs, which every closure and series term reads, and
 Permutations are made only where the public API hands elements back
 (``elements()`` and the generators of a closure).  A product "apply a, then
 b" runs in C as ``itemgetter(*a)(b)``, and the identity test compares with
@@ -44,6 +45,7 @@ from typing import Iterable, Sequence
 ELEMENT_LIMIT = 1_000_000  # the largest order whose elements or center are computed
 
 _Images = tuple[int, ...]  # a permutation as its image tuple: point x goes to images[x]
+_Pair = tuple[_Images, _Images]  # (g^-1, g)
 
 
 class GroupError(Exception):
@@ -374,15 +376,15 @@ def _least_prime(w: _Images) -> int:
 
 def _close(
     levels: list[_Level],
-    conjugators: list[tuple[_Images, _Images]],
+    conjugators: Sequence[_Pair],
     seed: _Images,
-    adjoined: list[_Images],
+    adjoined: list[_Pair],
 ) -> bool:
     """Grow levels, the verified chain of a normal subgroup M of G, to that
-    of the normal closure of <M, seed> (seed in G), appending each adjoined
-    element to adjoined; conjugators holds (g^-1, g) for g in G that with M
-    generate G, such as G's normal generators (a g in M may be left out:
-    [w, g] lies in M).  False, with levels still a chain of a normal
+    of the normal closure of <M, seed> (seed in G), appending (w^-1, w) for
+    each adjoined w to adjoined; conjugators holds (g^-1, g) for g in G that
+    with M generate G, such as G's normal generators (a g in M may be left
+    out: [w, g] lies in M).  False, with levels still a chain of a normal
     subgroup, when the loop proves G is not nilpotent.  Every element is an
     image tuple.
 
@@ -406,7 +408,7 @@ def _close(
     limit = math.factorial(len(seed)).bit_length()
 
     def frame(w: _Images):
-        q = _least_prime(w)
+        q, w_inv = _least_prime(w), _inverse(w)
 
         def children():
             # w^q as q - 1 products w * w^a, by one getter built from w
@@ -414,20 +416,20 @@ def _close(
             for _ in range(1, q):
                 power = step(power)
             yield power
-            w_inv = itemgetter(*_inverse(w))
+            w_inv_times = itemgetter(*w_inv)
             for g_inv, g in conjugators:
-                yield itemgetter(*itemgetter(*w_inv(g_inv))(w))(g)  # w^-1 g^-1 w g
+                yield itemgetter(*itemgetter(*w_inv_times(g_inv))(w))(g)  # w^-1 g^-1 w g
 
-        return w, q, children()
+        return w, w_inv, q, children()
 
     stack = [frame(seed)]
     while stack:
-        w, q, children = stack[-1]
+        w, w_inv, q, children = stack[-1]
         h = next((h for h in children if _sift(levels, h) != identity), None)
         if h is None:
             stack.pop()
             _adjoin(levels, w, q)
-            adjoined.append(w)
+            adjoined.append((w_inv, w))
             while stack and _sift(levels, stack[-1][0]) == identity:
                 stack.pop()
         elif len(stack) >= limit or any(h == f[0] for f in stack):
@@ -439,19 +441,19 @@ def _close(
 
 def _worklist_closure(
     levels: list[_Level],
-    conjugators: list[tuple[_Images, _Images]],
+    conjugators: Sequence[_Pair],
     seed: _Images,
-    adjoined: list[_Images],
+    adjoined: list[_Pair],
 ) -> bool:
     """_close by Schreier-Sims, for any G: a candidate that sifts through
-    the chain is dropped; any other is appended to adjoined, extends the
-    chain and queues its conjugates g^-1 h g.  Always True."""
+    the chain is dropped; any other h is appended to adjoined as (h^-1, h),
+    extends the chain and queues its conjugates g^-1 h g.  Always True."""
     identity = _identity(len(seed))
     queue = collections.deque([seed])
     while queue:
         h = queue.popleft()
         if _sift(levels, h) != identity:
-            adjoined.append(h)
+            adjoined.append((_inverse(h), h))
             _build_chain(levels, (h,))
             queue.extend(itemgetter(*itemgetter(*g_inv)(h))(g) for g_inv, g in conjugators)
     return True
@@ -470,7 +472,7 @@ class PermGroup:
         self._degree = degree
         self._generators = generators
         self._chain: list[_Level] | None = None
-        self._normal: Sequence[_Images] = ()  # set with _chain
+        self._normal: Sequence[_Pair] = ()  # set with _chain
         self._engine = _close  # grows every chain in self; _levels may pick the worklist
         self._lock = threading.Lock()
 
@@ -487,6 +489,11 @@ class PermGroup:
         return Permutation.identity(self._degree)
 
     def _levels(self) -> list[_Level]:
+        # the push loop closes each generator g_j in turn, conjugating by
+        # g_j and the ones after it (those before lie in the closure so far);
+        # the g_j it adjoins for are the normal generators Y, which for
+        # nilpotent self generate it (G' lies in the Frattini subgroup); if
+        # it proves self is not nilpotent, Schreier-Sims builds the chain
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
@@ -494,39 +501,22 @@ class PermGroup:
                     identity = _identity(self._degree)
                     first = next((g for g in gens if g != identity), None)
                     levels = [] if first is None else [_Level(_least_moved(first), identity)]
-                    normal: list[_Images] = []
-                    if not self._nilpotent_chain(levels, gens, normal):
-                        levels, normal, self._engine = _build_chain([], gens), gens, _worklist_closure
+                    pairs = [(_inverse(g), g) for g in gens]
+                    normal: list[_Pair] = []
+                    for j, pair in enumerate(pairs):
+                        adjoined: list[_Pair] = []
+                        if not _close(levels, pairs[j:], pair[1], adjoined):
+                            levels, normal, self._engine = _build_chain([], gens), pairs, _worklist_closure
+                            break
+                        if adjoined:
+                            normal.append(pair)
                     self._normal, self._chain = normal, levels
         return self._chain
 
-    def _nilpotent_chain(
-        self, levels: list[_Level], gens: list[_Images], normal: list[_Images]
-    ) -> bool:
-        """Grow levels, base points with no generators yet, to a chain of
-        self by adjoins of the push loop, seeded in turn with each of gens,
-        the images of self's generators, not in the closure M so far and
-        appending it to normal; a generator in M is dropped from the
-        conjugators.  False if the push loop proves self is not nilpotent.
-
-        The seeds are self's normal generators Y: their normal closure is
-        self, so for nilpotent self they generate it (G' lies in the
-        Frattini subgroup), and closures in self conjugate by them."""
-        identity = _identity(self._degree)
-        conjugators = [(_inverse(g), g) for g in gens]
-        for seed in gens:
-            if _sift(levels, seed) == identity:
-                continue
-            normal.append(seed)
-            if not _close(levels, conjugators, seed, []):
-                return False
-            conjugators = [(g_inv, g) for g_inv, g in conjugators if _sift(levels, g) != identity]
-        return True
-
-    def _normal_generators(self) -> Sequence[_Images]:
-        """Image tuples whose normal closure is self and which generate it:
-        the normal generators Y for nilpotent self, else all the
-        generators."""
+    def _normal_generators(self) -> Sequence[_Pair]:
+        """(y^-1, y) pairs of image tuples y whose normal closure is self and
+        which generate it: the normal generators Y for nilpotent self, else
+        all the generators."""
         self._levels()
         return self._normal
 
@@ -586,8 +576,8 @@ class PermGroup:
         closure of the ones before, for which the engine adjoined): one pass
         of the engine self's chain build picked, so the push loop cannot
         give up."""
-        conjugators = [(_inverse(g), g) for g in self._normal_generators()]
-        gens: list[_Images] = []
+        conjugators = self._normal_generators()
+        gens: list[_Pair] = []
         levels: list[_Level] = []
         closed: list[_Images] = []
         for h in seeds:
@@ -634,14 +624,14 @@ class PermGroup:
         return f"PermGroup(degree={self._degree}, ngens={len(self._generators)})"
 
 
-def _group_on(parent: PermGroup, gens: list[_Images], levels: list[_Level]) -> PermGroup:
-    """The subgroup of parent generated by gens, image tuples, keeping
-    levels, a verified chain of it, gens as its normal generators, and
-    parent's engine: a subgroup of a nilpotent group is nilpotent, and the
-    worklist serves any group."""
-    group = PermGroup(parent.degree, map(_raw, gens))
+def _group_on(parent: PermGroup, pairs: list[_Pair], levels: list[_Level]) -> PermGroup:
+    """The subgroup of parent generated by the gs of pairs, (g^-1, g) of
+    image tuples, keeping levels, a verified chain of it, pairs as its
+    normal generators, and parent's engine: a subgroup of a nilpotent group
+    is nilpotent, and the worklist serves any group."""
+    group = PermGroup(parent.degree, (_raw(g) for _, g in pairs))
     group._engine, group._chain = parent._engine, levels
-    group._normal = gens
+    group._normal = pairs
     return group
 
 
@@ -659,12 +649,11 @@ class CentralSeries:
         return [t.order() for t in self.terms]
 
 
-def _commutators(xs: Sequence[_Images], ys: Sequence[_Images]) -> list[_Images]:
-    """The non-identity commutators [x, y] = x^-1 y^-1 x y of image tuples,
-    x-major, inverting each element once."""
-    x_pairs = [(itemgetter(*_inverse(x)), x) for x in xs]
-    y_pairs = [(_inverse(y), y) for y in ys]
-    seeds = (itemgetter(*itemgetter(*xi(yi))(x))(y) for xi, x in x_pairs for yi, y in y_pairs)
+def _commutators(xs: Sequence[_Pair], ys: Sequence[_Pair]) -> list[_Images]:
+    """The non-identity commutators [x, y] = x^-1 y^-1 x y of the (x^-1, x)
+    and (y^-1, y) pairs of image tuples, x-major."""
+    x_pairs = [(itemgetter(*x_inv), x) for x_inv, x in xs]
+    seeds = (itemgetter(*itemgetter(*xi(yi))(x))(y) for xi, x in x_pairs for yi, y in ys)
     return [s for s in seeds if s != _identity(len(s))]
 
 
@@ -674,17 +663,18 @@ def lower_central_series(G: PermGroup) -> CentralSeries:
     With Y the normal generators of G (G = <Y>) and term[i] the normal
     closure of X_i, [term[i], G] is the normal closure of the commutators
     [x, y], x in X_i, y in Y; X_0 = Y, and X_(i+1) is the commutators that
-    closure closed.  It is grown by adjoins for nilpotent G (a p-group's
-    term N keeps exactly log_p |N| generators)."""
+    closure closed, each inverted once.  It is grown by adjoins for
+    nilpotent G (a p-group's term N keeps exactly log_p |N| generators)."""
     ys = xs = G._normal_generators()
     terms = [G]
     while terms[-1].order() > 1:
         current = terms[-1]
-        nxt, xs = G._closure(_commutators(xs, ys))
+        nxt, closed = G._closure(_commutators(xs, ys))
         if nxt.order() == current.order():
             # stalled above the trivial group
             return CentralSeries(tuple(terms), None)
         terms.append(nxt)
+        xs = [(_inverse(x), x) for x in closed]
     return CentralSeries(tuple(terms), len(terms) - 1)
 
 

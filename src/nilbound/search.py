@@ -423,4 +423,3 @@ TABLE2_REFERENCE = {
     4: (4, 8, 10, 12, 13, 14, 14) + (15,) * 9,
     5: (5, 11, 17, 19, 22, 25, 26, 27, 28, 29, 29, 30, 30, 30, 30, 31),
 }
-TABLE2_EXHAUSTIVE_KMAX = 3

@@ -577,12 +577,15 @@ class TestAdjoinPath:
         "gens, profile",
         [
             ([(1, 2, 0), (1, 0, 2)], [6, 3]),
+            # seeded by the transposition t first: S3 = <[t, c], t> is shown
+            # not nilpotent only by conjugating [t, c] by t itself
+            ([(1, 0, 2), (1, 2, 0)], [6, 3]),
             ([(1, 2, 0, 3), (0, 2, 3, 1)], [12, 4]),
             ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], [120, 60]),
             # the 4-cycle's normal closure is S4, yet it generates only C4
             ([(1, 2, 3, 0), (1, 0, 2, 3)], [24, 12]),
         ],
-        ids=["S3", "A4", "S5", "S4"],
+        ids=["S3", "S3-transposition-first", "A4", "S5", "S4"],
     )
     def test_non_nilpotent_groups_fall_back(self, monkeypatch, gens, profile):
         gave_up, built = [], []
@@ -623,16 +626,19 @@ class TestAdjoinPath:
         assert gave_up == []
 
 
-    def test_normal_generators_generate_the_group(self):
+    def test_normal_generators_generate_the_group(self, monkeypatch):
         # the generators that seeded G's chain: a subsequence of G's
         # generators whose normal closure is G, which G's nilpotency makes
         # G itself; the degree-64 wreath/polynomial groups, with 27, 26 and
-        # 24 generators, need only 6, 16 and 12
+        # 24 generators, need only 6, 16 and 12.  Each y is stored with its
+        # inverse: in G, in its series terms and center, whose ys are the
+        # elements the engine adjoined, and in the A4 and S4 groups whose
+        # chain build falls back to Schreier-Sims
         groups = [(name, G) for name, G in build_corpus() if name != "S3"]
         groups += [(json.dumps(bp), realize_json(bp)) for bp in WITNESS_BLUEPRINTS]
         fewer = 0
         for name, G in groups:
-            Y = G._normal_generators()
+            Y = [y for _, y in G._normal_generators()]
             rest = iter(G.generators)
             assert all(any(y is g.images for g in rest) for y in Y), name
             Y = [Permutation(y) for y in Y]
@@ -642,6 +648,62 @@ class TestAdjoinPath:
                 assert PermGroup(G.degree, Y).order() == G.order(), name
             fewer += len(G.generators) - len(Y)
         assert fewer >= 21 + 10 + 12
+        for gens in ([(1, 2, 0, 3), (0, 2, 3, 1)], [(1, 2, 3, 0), (1, 0, 2, 3)]):
+            G = PermGroup(4, [Permutation(g) for g in gens])
+            G.order()
+            assert G._engine is perm._worklist_closure
+            groups.append((repr(gens), G))
+        adjoined = []
+        real_adjoin, real_build = perm._adjoin, perm._build_chain
+
+        def adjoin(levels, w, q):
+            adjoined.append(w)
+            real_adjoin(levels, w, q)
+
+        def build(levels, generators):
+            adjoined.extend(generators)
+            return real_build(levels, generators)
+
+        monkeypatch.setattr(perm, "_adjoin", adjoin)
+        monkeypatch.setattr(perm, "_build_chain", build)
+        for name, G in groups:
+            adjoined.clear()
+            series = lower_central_series(G)
+            closures = list(series.terms[1:])
+            if G.order() <= perm.ELEMENT_LIMIT and not G.is_abelian():
+                closures.append(center(G))
+            if series.nilpotency_class is not None:  # else a stalled closure adjoined too
+                assert [g.images for H in closures for g in H.generators] == adjoined, name
+            for H in [G, *closures]:
+                for y_inv, y in H._normal_generators():
+                    assert len(y_inv) == H.degree, name
+                    assert [y_inv[x] for x in y] == list(range(H.degree)), name
+
+    def test_series_and_center_do_not_invert_the_normal_generators(self, monkeypatch):
+        # G's chain build stores each normal generator y with its inverse,
+        # which the series and the center read: once G's order is known,
+        # neither inverts any generator of G again (the worklist inverts
+        # what it adjoins, which in S3 may equal a y, but not the stored y)
+        groups = [G for _, G in build_corpus()] + [realize_json(bp) for bp in WITNESS_BLUEPRINTS]
+        inverted = []
+        real_inverse = perm._inverse
+
+        def inverse(images):
+            inverted.append(images)
+            return real_inverse(images)
+
+        for G in groups:
+            G = PermGroup(G.degree, G.generators)  # no chain yet
+            G.order()
+            Y = [g.images for g in G.generators]
+            assert all(any(y is g for g in Y) for _, y in G._normal_generators())
+            monkeypatch.setattr(perm, "_inverse", inverse)
+            lower_central_series(G)
+            if G.order() <= perm.ELEMENT_LIMIT:
+                center(G)
+            monkeypatch.undo()
+            assert not any(x is y for x in inverted for y in Y), G.generators
+            inverted.clear()
 
 
 class TestCenter:
