@@ -3,12 +3,16 @@
 Verbs: bound, construct, analyze, search, table.  Exit codes: 0 success,
 1 usage or parse error, 2 budget/guard refusal, 3 internal invariant
 violation.  All JSON output is deterministic (sorted keys, fixed list
-orders) so identical invocations are byte-identical.
+orders) so identical invocations are byte-identical.  ``main(argv)`` builds
+its argparse parser on the first call and reuses it on every later one in the
+process: parsing keeps no state in the parser, so each call gets a fresh
+namespace, and help width and output streams are read when argparse prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -213,7 +217,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The nilbound command's parser, built on the first call; every call
+    returns that one object, which main shares, so a caller must not change
+    it."""
     parser = argparse.ArgumentParser(
         prog="nilbound",
         description=(

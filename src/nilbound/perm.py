@@ -331,9 +331,9 @@ def _build_chain(levels: list[_Level], generators: Iterable[_Images]) -> list[_L
     return levels
 
 
-def _adjoin(levels: list[_Level], w: _Images, q: int) -> None:
+def _adjoin(levels: list[_Level], w: _Images, w_inv: _Images, q: int) -> None:
     """Extend levels, the verified chain of M, to that of <M, w>, where w
-    normalizes M, w^q lies in M and w does not (q prime).
+    normalizes M, w^q lies in M and w does not (q prime); w_inv is w^-1.
 
     w sifts to r = w m (m in M), stored at level i where the sift stopped.
     r fixes the base points before i, so it normalizes M_i, the group of the
@@ -341,12 +341,13 @@ def _adjoin(levels: list[_Level], w: _Images, q: int) -> None:
     its M_i-orbit D and permutes the M_i-orbits with period q, so <M_i, r>
     has the orbit D, D^r, ..., D^(r^(q-1)): u_(x^(r^a)) = u_x r^a, with
     inverse r^-a u_x^-1, the product r^-1 * u^-1 by one getter built from
-    r^-1.  That growth is all of the index q, so the other levels stay
-    verified, and no Schreier generator is sifted.
+    r^-1, which is w_inv when the sift left w as it was.  That growth is all
+    of the index q, so the other levels stay verified, and no Schreier
+    generator is sifted.
     """
     r = _sift(levels, w)
     level = levels[_place(levels, r)]
-    r_inv = itemgetter(*_inverse(r))
+    r_inv = itemgetter(*(w_inv if r is w else _inverse(r)))
     coset = [(x, u, level.inverses[x]) for x, u in level.transversal.items()]
     for _ in range(q - 1):
         coset = [(r[x], itemgetter(*u)(r), r_inv(u_inv)) for x, u, u_inv in coset]
@@ -428,7 +429,7 @@ def _close(
         h = next((h for h in children if _sift(levels, h) != identity), None)
         if h is None:
             stack.pop()
-            _adjoin(levels, w, q)
+            _adjoin(levels, w, w_inv, q)
             adjoined.append((w_inv, w))
             while stack and _sift(levels, stack[-1][0]) == identity:
                 stack.pop()
@@ -570,22 +571,23 @@ class PermGroup:
             products = [get(u) for get in (itemgetter(*rest) for rest in products) for u in us]
         return list(map(_raw, products))
 
-    def _closure(self, seeds: Sequence[_Images]) -> tuple[PermGroup, list[_Images]]:
+    def _closure(self, seeds: Sequence[_Images]) -> tuple[PermGroup, list[_Pair]]:
         """The normal closure of the seeds, image tuples of members of self
-        not checked again, and the seeds it closed (those outside the
-        closure of the ones before, for which the engine adjoined): one pass
-        of the engine self's chain build picked, so the push loop cannot
-        give up."""
+        not checked again, and the seeds h it closed (those outside the
+        closure of the ones before, for which the engine adjoined) as
+        (h^-1, h): the pair the engine stored if it adjoined h itself, else
+        h inverted here.  One pass of the engine self's chain build picked,
+        so the push loop cannot give up."""
         conjugators = self._normal_generators()
         gens: list[_Pair] = []
         levels: list[_Level] = []
-        closed: list[_Images] = []
+        closed: list[_Pair] = []
         for h in seeds:
             adjoined = len(gens)
             if not self._engine(levels, conjugators, h, gens):
                 raise RuntimeError("the push loop gave up in a group whose chain it built")
             if len(gens) > adjoined:
-                closed.append(h)
+                closed.append(next((p for p in gens[adjoined:] if p[1] is h), None) or (_inverse(h), h))
         return _group_on(self, gens, levels), closed
 
     # -- serialization ----------------------------------------------------
@@ -663,18 +665,18 @@ def lower_central_series(G: PermGroup) -> CentralSeries:
     With Y the normal generators of G (G = <Y>) and term[i] the normal
     closure of X_i, [term[i], G] is the normal closure of the commutators
     [x, y], x in X_i, y in Y; X_0 = Y, and X_(i+1) is the commutators that
-    closure closed, each inverted once.  It is grown by adjoins for
-    nilpotent G (a p-group's term N keeps exactly log_p |N| generators)."""
+    closure closed, each with the inverse the engine stored when it adjoined
+    it.  It is grown by adjoins for nilpotent G (a p-group's term N keeps
+    exactly log_p |N| generators)."""
     ys = xs = G._normal_generators()
     terms = [G]
     while terms[-1].order() > 1:
         current = terms[-1]
-        nxt, closed = G._closure(_commutators(xs, ys))
+        nxt, xs = G._closure(_commutators(xs, ys))
         if nxt.order() == current.order():
             # stalled above the trivial group
             return CentralSeries(tuple(terms), None)
         terms.append(nxt)
-        xs = [(_inverse(x), x) for x in closed]
     return CentralSeries(tuple(terms), len(terms) - 1)
 
 

@@ -1,5 +1,6 @@
 """CLI surface: verbs, exit codes, JSON determinism, round trips."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -496,6 +497,67 @@ class TestContracts:
         )
         assert result.returncode == 0
         assert "3" in result.stdout
+
+
+# argv lists that one process may run in any order: every verb, a verb with
+# and without a flag, each table mode and both at once, and argparse's own
+# exits for a missing required flag, an unknown verb and --help
+_SEQUENCE = [
+    ["bound", "--p", "2", "--k", "6", "--c", "4"],
+    ["bound", "--p", "3", "--k", "2", "--c", "2", "--json"],
+    ["construct", "--blueprint", '{"kind":"sylow-wreath","params":{"p":2,"k":2}}'],
+    ["analyze", "--group", '{"degree":4,"generators":[[1,2,3,0],[2,1,0,3]]}'],
+    ["search", "--p", "2", "--k", "3", "--audit"],
+    ["search", "--p", "2", "--k", "3"],
+    ["search", "--p", "3", "--k", "2", "--dedupe", "set", "--json"],
+    ["table", "--table1", "--kmax", "4"],
+    ["table", "--table2"],
+    ["table", "--table1", "--table2"],
+    ["bound", "--p", "2", "--k", "3"],
+    ["frobnicate"],
+    ["--help"],
+    ["search", "--help"],
+]
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call sees another's."""
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        assert run(capsys, "bound", "--p", "2", "--k", "2", "--c", "2")[0] == EXIT_OK
+        first = len(built)  # 0 once an earlier test has called main
+        assert run(capsys, "table", "--table1", "--kmax", "2")[0] == EXIT_OK
+        assert run(capsys, "search", "--p", "2")[0] == EXIT_USAGE
+        assert len(built) == first
+
+    def test_outputs_do_not_depend_on_earlier_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+        forward = [run(capsys, *argv) for argv in _SEQUENCE]
+        backward = [run(capsys, *argv) for argv in reversed(_SEQUENCE)]
+        assert forward == backward[::-1]
+        assert [code for code, _, _ in forward] == [EXIT_OK] * 9 + [EXIT_USAGE] * 3 + [EXIT_OK] * 2
+        assert forward[4][1].startswith(forward[5][1]) and "audit ok" not in forward[5][1]
+        assert forward[12][1].startswith("usage: nilbound [-h]") and forward[12][2] == ""
+
+    @pytest.mark.parametrize("index", [4, 9, 10, 11, 12], ids=["audit", "both-tables", "missing", "unknown", "help"])
+    def test_reused_parser_matches_a_fresh_process(self, capsys, monkeypatch, index):
+        monkeypatch.setenv("COLUMNS", "80")
+        run(capsys, *_SEQUENCE[0])  # the parser exists before argv is parsed
+        fresh = subprocess.run(
+            [sys.executable, "-m", "nilbound.cli", *_SEQUENCE[index]],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run(capsys, *_SEQUENCE[index]) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestRobustness:

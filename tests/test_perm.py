@@ -656,9 +656,9 @@ class TestAdjoinPath:
         adjoined = []
         real_adjoin, real_build = perm._adjoin, perm._build_chain
 
-        def adjoin(levels, w, q):
+        def adjoin(levels, w, *args):
             adjoined.append(w)
-            real_adjoin(levels, w, q)
+            real_adjoin(levels, w, *args)
 
         def build(levels, generators):
             adjoined.extend(generators)
@@ -704,6 +704,58 @@ class TestAdjoinPath:
             monkeypatch.undo()
             assert not any(x is y for x in inverted for y in Y), G.generators
             inverted.clear()
+
+    def test_adjoin_and_series_invert_only_new_elements(self, monkeypatch):
+        # _adjoin inverts the r it stores only when the sift changed w, as
+        # the push loop's frame holds w^-1; the series seeds each term with
+        # the (x^-1, x) pairs the engine stored for the seeds it adjoined,
+        # so outside the engine it never inverts an element the engine
+        # stored with its inverse
+        groups = [G for _, G in build_corpus()] + [realize_json(bp) for bp in WITNESS_BLUEPRINTS]
+        real_inverse, real_adjoin = perm._inverse, perm._adjoin
+        inverted, stored, sifts = [], [], collections.Counter()
+
+        def inverse(images):
+            inverted.append(images)
+            return real_inverse(images)
+
+        def adjoin(levels, w, w_inv, q):
+            assert [w_inv[x] for x in w] == list(range(len(w)))
+            changed = perm._sift(levels, w) is not w
+            before = len(inverted)
+            real_adjoin(levels, w, w_inv, q)
+            assert len(inverted) - before == changed
+            sifts[changed] += 1
+
+        monkeypatch.setattr(perm, "_inverse", inverse)
+        monkeypatch.setattr(perm, "_adjoin", adjoin)
+        for G in groups:
+            G = PermGroup(G.degree, G.generators)  # no chain yet
+            G.order()
+            real_engine = G._engine
+
+            def engine(levels, conjugators, seed, adjoined):
+                # keep only the inversions made outside the engine
+                start, before = len(adjoined), len(inverted)
+                done = real_engine(levels, conjugators, seed, adjoined)
+                del inverted[before:]
+                stored.extend(w for _, w in adjoined[start:])
+                return done
+
+            G._engine = engine
+            inverted.clear()
+            lower_central_series(G)
+            assert not any(x is w for x in inverted for w in stored), G.generators
+        assert stored and sifts[True] and sifts[False]
+
+    def test_closed_seed_the_engine_did_not_adjoin_is_inverted(self):
+        # c^3 closes first, so the push loop closes c, of order 6, by
+        # adjoining c^2, after which c lies in <c^3, c^2> and is never
+        # adjoined itself: _closure pairs c with its inverse
+        c = Permutation.from_cycles(6, (0, 1, 2, 3, 4, 5))
+        N, closed = PermGroup(6, [c])._closure([(c**3).images, c.images])
+        assert N.order() == 6 and [g.images for g in N.generators] == [(c**3).images, (c**2).images]
+        assert closed == [((c**3).inverse().images, (c**3).images), (c.inverse().images, c.images)]
 
 
 class TestCenter:
