@@ -18,16 +18,21 @@ closed the term before (Holt, Eick & O'Brien, "Handbook of Computational
 Group Theory", 2005).  The series and the center close members of G, which
 are not checked again.  A chain attached to a group is never mutated
 afterwards, so groups are safe to share across threads.  The engine works on
-image tuples, not Permutation objects: a chain's levels and the seeds of a
-closure are tuples, a group's normal generators are stored once with their
+byte strings, not Permutation objects: an element of degree n <= 256 is the
+n-byte string of its images, a chain's levels and the seeds of a closure are
+such strings, a group's normal generators are stored once with their
 inverses as (y^-1, y) pairs, which every closure and series term reads, and
 Permutations are made only where the public API hands elements back
 (``elements()`` and the generators of a closure).  A product "apply a, then
-b" runs in C as ``itemgetter(*a)(b)``, and the identity test compares with
-one cached ``tuple(range(n))`` per degree; no product is formed below degree
-2, where itemgetter would return a point or fail.  The engine only combines
-tuples of one group, whose generators' degrees PermGroup checks once.  Past
-order ``ELEMENT_LIMIT``, a group's element list and its center are refused.
+b" runs in C as ``a.translate(b + pad)``, with pad the identity's bytes past
+n, so b + pad is the 256-byte table translate reads; an inverse is
+``bytes.maketrans(a, identity)[:n]``.  Elements are stored unpadded.  Past
+degree 256 a point does not fit in a byte: there an element is a _Wide image
+tuple whose translate is the product ``itemgetter(*a)(b)`` and whose pad is
+empty, so every engine function runs on both.  The engine only combines
+elements of one group, whose generators' degrees PermGroup checks once.
+Past order ``ELEMENT_LIMIT``, a group's element list and its center are
+refused.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from typing import Iterable, Sequence
 ELEMENT_LIMIT = 1_000_000  # the largest order whose elements or center are computed
 
 _Images = tuple[int, ...]  # a permutation as its image tuple: point x goes to images[x]
-_Pair = tuple[_Images, _Images]  # (g^-1, g)
 
 
 class GroupError(Exception):
@@ -198,39 +202,83 @@ def _inverse(images: _Images) -> _Images:
     return tuple(inv)
 
 
+class _Wide(tuple):
+    """An engine element past degree 256, where a point does not fit in a
+    byte: an image tuple whose translate(b), b a tuple (the pad is empty),
+    is the product "apply self, then b"."""
+
+    __slots__ = ()
+
+    def translate(self, b: _Images) -> _Wide:
+        return _Wide(itemgetter(*self)(b))
+
+
+_Element = bytes | _Wide  # a permutation as the engine stores it
+_Pair = tuple[_Element, _Element]  # (g^-1, g)
+_ID = bytes(range(256))  # _ID[:n] is the identity of degree n <= 256, _ID[n:] its pad
+
+
+def _element(images: Sequence[int]) -> _Element:
+    """The engine element of an image sequence: its bytes up to degree 256."""
+    return bytes(images) if len(images) <= 256 else _Wide(images)
+
+
+@functools.cache
+def _one(degree: int) -> _Element:
+    """The engine's identity element of a degree."""
+    return _element(range(degree))
+
+
+@functools.cache
+def _pad(degree: int) -> bytes | tuple[()]:
+    """What a product a.translate(b + pad) appends to b: the identity's
+    bytes past degree, which make b the 256-byte table translate reads, and
+    nothing for a _Wide."""
+    return _ID[degree:] if degree <= 256 else ()
+
+
+def _invert(g: _Element) -> _Element:
+    """g^-1: maketrans(g, identity) sends each g[x] back to x."""
+    n = len(g)
+    return bytes.maketrans(g, _ID[:n])[:n] if n <= 256 else _Wide(_inverse(g))
+
+
 def commutator(x: Permutation, y: Permutation) -> Permutation:
     """[x, y] = x^-1 y^-1 x y, computed as (y x)^-1 (x y) with one inverse."""
     return (y * x).inverse() * (x * y)
 
 
 class _Level:
-    """One level of a stabilizer chain, every element an image tuple: a base
-    point, the strong generators that move it, a transversal mapping each
-    orbit point to a coset representative u with point_base^u = point, and
-    the inverses of those representatives."""
+    """One level of a stabilizer chain, every element an engine element: a
+    base point, the strong generators that move it, a transversal mapping
+    each orbit point to a coset representative u with point_base^u = point,
+    and the inverses of those representatives."""
 
     __slots__ = ("point", "gens", "transversal", "inverses")
 
-    def __init__(self, point: int, identity: _Images):
+    def __init__(self, point: int, identity: _Element):
         self.point = point
-        self.gens: list[_Images] = []
-        self.transversal: dict[int, _Images] = {point: identity}
-        self.inverses: dict[int, _Images] = {point: identity}
+        self.gens: list[_Element] = []
+        self.transversal: dict[int, _Element] = {point: identity}
+        self.inverses: dict[int, _Element] = {point: identity}
 
 
-def _sift(levels: list[_Level], h: _Images, start: int = 0) -> _Images:
-    """Strip the image tuple h through levels[start:]; the residue is the
-    identity exactly when h lies in the group those levels describe."""
+def _sift(levels: list[_Level], h: _Element, start: int = 0) -> _Element:
+    """Strip h through levels[start:]; the residue is the identity exactly
+    when h lies in the group those levels describe."""
+    pad = _pad(len(h))
     for level in itertools.islice(levels, start, None):
-        x = h[level.point]
-        if x != level.point:
-            if x not in level.inverses:
+        point = level.point
+        x = h[point]
+        if x != point:
+            u_inv = level.inverses.get(x)
+            if u_inv is None:
                 return h
-            h = itemgetter(*h)(level.inverses[x])
+            h = h.translate(u_inv + pad)
     return h
 
 
-def _place(levels: list[_Level], g: _Images) -> int:
+def _place(levels: list[_Level], g: _Element) -> int:
     """Store g at its home level, the first whose base point it moves, and
     return that level's index; when g fixes every base point, its home is a
     new last level based at the least point it moves."""
@@ -238,19 +286,19 @@ def _place(levels: list[_Level], g: _Images) -> int:
         if g[level.point] != level.point:
             level.gens.append(g)
             return i
-    levels.append(_Level(_least_moved(g), _identity(len(g))))
+    levels.append(_Level(_least_moved(g), _one(len(g))))
     levels[-1].gens.append(g)
     return len(levels) - 1
 
 
-def _least_moved(g: _Images) -> int:
+def _least_moved(g: _Element) -> int:
     return next(x for x, y in enumerate(g) if x != y)
 
 
-def _build_chain(levels: list[_Level], generators: Iterable[_Images]) -> list[_Level]:
+def _build_chain(levels: list[_Level], generators: Iterable[_Element]) -> list[_Level]:
     """Deterministic incremental Schreier-Sims: extend levels, a verified
     chain that no group holds yet ([] or base points with no generators), by
-    generators, image tuples of the chain's degree.
+    generators, engine elements of the chain's degree.
 
     A strong generator is stored at the first level whose base point it
     moves; the group at level i is generated by everything stored at levels
@@ -273,17 +321,18 @@ def _build_chain(levels: list[_Level], generators: Iterable[_Images]) -> list[_L
     once per call.
     """
 
-    def level_gens(i: int) -> list[_Images]:
+    def level_gens(i: int) -> list[_Element]:
         return [g for level in levels[i:] for g in level.gens]
 
     verified = {
         (i, id(s)): len(level.transversal) for i, level in enumerate(levels) for s in level_gens(i)
     }
-    inverse = functools.cache(_inverse)
+    inverse = functools.cache(_invert)
 
     def extend_transversals(top: int) -> None:
         for j, level in enumerate(levels[: top + 1]):
             transversal, inverses = level.transversal, level.inverses
+            pad = _pad(len(transversal[level.point]))
             frontier = list(transversal)
             gens = level_gens(j)
             while frontier:
@@ -292,23 +341,25 @@ def _build_chain(levels: list[_Level], generators: Iterable[_Images]) -> list[_L
                 for s in gens:
                     y = s[x]
                     if y not in transversal:
-                        transversal[y] = itemgetter(*u)(s)
-                        inverses[y] = itemgetter(*inverse(s))(inverses[x])
+                        transversal[y] = u.translate(s + pad)
+                        inverses[y] = inverse(s).translate(inverses[x] + pad)
                         frontier.append(y)
 
-    def first_residue(i: int) -> _Images | None:
+    def first_residue(i: int) -> _Element | None:
         """Sift the Schreier generators of level i not verified yet; return
         the first non-identity residue, or None once all are verified."""
         level = levels[i]
         identity = level.transversal[level.point]
+        pad = _pad(len(identity))
         points = list(level.transversal.items())
         for s in level_gens(i):
             key = (i, id(s))
+            s_pad = s + pad
             for k in range(verified.get(key, 0), len(points)):
                 x, u = points[k]
-                us, y = itemgetter(*u)(s), s[x]
+                us, y = u.translate(s_pad), s[x]
                 if us != level.transversal[y]:
-                    residue = _sift(levels, itemgetter(*us)(level.inverses[y]), i + 1)
+                    residue = _sift(levels, us.translate(level.inverses[y] + pad), i + 1)
                     if residue != identity:
                         # this pair is residue times deeper transversal
                         # elements, so placing residue verifies it
@@ -317,7 +368,7 @@ def _build_chain(levels: list[_Level], generators: Iterable[_Images]) -> list[_L
             verified[key] = len(points)
         return None
 
-    i = max((_place(levels, g) for g in generators if g != _identity(len(g))), default=-1)
+    i = max((_place(levels, g) for g in generators if g != _one(len(g))), default=-1)
     extend_transversals(i)
     while i >= 0:
         residue = first_residue(i)
@@ -331,7 +382,7 @@ def _build_chain(levels: list[_Level], generators: Iterable[_Images]) -> list[_L
     return levels
 
 
-def _adjoin(levels: list[_Level], w: _Images, w_inv: _Images, q: int) -> None:
+def _adjoin(levels: list[_Level], w: _Element, w_inv: _Element, q: int) -> None:
     """Extend levels, the verified chain of M, to that of <M, w>, where w
     normalizes M, w^q lies in M and w does not (q prime); w_inv is w^-1.
 
@@ -340,23 +391,24 @@ def _adjoin(levels: list[_Level], w: _Images, w_inv: _Images, q: int) -> None:
     levels >= i, and r^q lies in M_i.  r moves level i's base point out of
     its M_i-orbit D and permutes the M_i-orbits with period q, so <M_i, r>
     has the orbit D, D^r, ..., D^(r^(q-1)): u_(x^(r^a)) = u_x r^a, with
-    inverse r^-a u_x^-1, the product r^-1 * u^-1 by one getter built from
-    r^-1, which is w_inv when the sift left w as it was.  That growth is all
-    of the index q, so the other levels stay verified, and no Schreier
-    generator is sifted.
+    inverse r^-a u_x^-1, the product r^-1 * u^-1, where r^-1 is w_inv when
+    the sift left w as it was.  That growth is all of the index q, so the
+    other levels stay verified, and no Schreier generator is sifted.
     """
     r = _sift(levels, w)
     level = levels[_place(levels, r)]
-    r_inv = itemgetter(*(w_inv if r is w else _inverse(r)))
+    r_inv = w_inv if r is w else _invert(r)
+    pad = _pad(len(r))
+    r_pad = r + pad
     coset = [(x, u, level.inverses[x]) for x, u in level.transversal.items()]
     for _ in range(q - 1):
-        coset = [(r[x], itemgetter(*u)(r), r_inv(u_inv)) for x, u, u_inv in coset]
+        coset = [(r[x], u.translate(r_pad), r_inv.translate(u_inv + pad)) for x, u, u_inv in coset]
         for y, u, u_inv in coset:
             level.transversal[y] = u
             level.inverses[y] = u_inv
 
 
-def _least_prime(w: _Images) -> int:
+def _least_prime(w: _Element) -> int:
     """The least prime dividing the order of w, which is not the identity:
     the least d > 1 dividing the length of one of its cycles, 2 as soon as
     one cycle has even length."""
@@ -378,7 +430,7 @@ def _least_prime(w: _Images) -> int:
 def _close(
     levels: list[_Level],
     conjugators: Sequence[_Pair],
-    seed: _Images,
+    seed: _Element,
     adjoined: list[_Pair],
 ) -> bool:
     """Grow levels, the verified chain of a normal subgroup M of G, to that
@@ -387,7 +439,7 @@ def _close(
     with M generate G, such as G's normal generators (a g in M may be left
     out: [w, g] lies in M).  False, with levels still a chain of a normal
     subgroup, when the loop proves G is not nilpotent.  Every element is an
-    image tuple.
+    engine element.
 
     The top w of a stack started at the seed is adjoined once w^q (q the
     least prime dividing w's order) and every [w, g] lie in M: then wM is
@@ -403,23 +455,23 @@ def _close(
     nilpotent: power steps alone lower the order, and a cycle through a
     commutator step puts it in every lower-central term.
     """
-    identity = _identity(len(seed))
+    identity, pad = _one(len(seed)), _pad(len(seed))
     if _sift(levels, seed) == identity:
         return True
     limit = math.factorial(len(seed)).bit_length()
 
-    def frame(w: _Images):
-        q, w_inv = _least_prime(w), _inverse(w)
+    def frame(w: _Element):
+        q, w_inv = _least_prime(w), _invert(w)
 
         def children():
-            # w^q as q - 1 products w * w^a, by one getter built from w
-            step, power = itemgetter(*w), w
+            # w^q as q - 1 products w * w^a
+            power = w
             for _ in range(1, q):
-                power = step(power)
+                power = w.translate(power + pad)
             yield power
-            w_inv_times = itemgetter(*w_inv)
+            w_pad = w + pad
             for g_inv, g in conjugators:
-                yield itemgetter(*itemgetter(*w_inv_times(g_inv))(w))(g)  # w^-1 g^-1 w g
+                yield w_inv.translate(g_inv + pad).translate(w_pad).translate(g + pad)  # w^-1 g^-1 w g
 
         return w, w_inv, q, children()
 
@@ -443,20 +495,21 @@ def _close(
 def _worklist_closure(
     levels: list[_Level],
     conjugators: Sequence[_Pair],
-    seed: _Images,
+    seed: _Element,
     adjoined: list[_Pair],
 ) -> bool:
     """_close by Schreier-Sims, for any G: a candidate that sifts through
     the chain is dropped; any other h is appended to adjoined as (h^-1, h),
     extends the chain and queues its conjugates g^-1 h g.  Always True."""
-    identity = _identity(len(seed))
+    identity, pad = _one(len(seed)), _pad(len(seed))
     queue = collections.deque([seed])
     while queue:
         h = queue.popleft()
         if _sift(levels, h) != identity:
-            adjoined.append((_inverse(h), h))
+            adjoined.append((_invert(h), h))
             _build_chain(levels, (h,))
-            queue.extend(itemgetter(*itemgetter(*g_inv)(h))(g) for g_inv, g in conjugators)
+            h_pad = h + pad
+            queue.extend(g_inv.translate(h_pad).translate(g + pad) for g_inv, g in conjugators)
     return True
 
 
@@ -498,11 +551,11 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    gens = [g.images for g in self._generators]
-                    identity = _identity(self._degree)
+                    gens = [_element(g.images) for g in self._generators]
+                    identity = _one(self._degree)
                     first = next((g for g in gens if g != identity), None)
                     levels = [] if first is None else [_Level(_least_moved(first), identity)]
-                    pairs = [(_inverse(g), g) for g in gens]
+                    pairs = [(_invert(g), g) for g in gens]
                     normal: list[_Pair] = []
                     for j, pair in enumerate(pairs):
                         adjoined: list[_Pair] = []
@@ -515,7 +568,7 @@ class PermGroup:
         return self._chain
 
     def _normal_generators(self) -> Sequence[_Pair]:
-        """(y^-1, y) pairs of image tuples y whose normal closure is self and
+        """(y^-1, y) pairs of engine elements y whose normal closure is self and
         which generate it: the normal generators Y for nilpotent self, else
         all the generators."""
         self._levels()
@@ -530,7 +583,7 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation) or g.degree != self._degree:
             return False
-        return _sift(self._levels(), g.images) == _identity(self._degree)
+        return _sift(self._levels(), _element(g.images)) == _one(self._degree)
 
     def is_abelian(self) -> bool:
         gens = self._generators
@@ -565,14 +618,15 @@ class PermGroup:
         """All group elements; raises GuardExceeded when order > ELEMENT_LIMIT."""
         if self.order() > ELEMENT_LIMIT:
             raise GuardExceeded(f"group of order {self.order()} exceeds element limit {ELEMENT_LIMIT}")
-        products = [_identity(self._degree)]
+        pad = _pad(self._degree)
+        products = [_one(self._degree)]
         for level in reversed(self._levels()):
-            us = list(level.transversal.values())
-            products = [get(u) for get in (itemgetter(*rest) for rest in products) for u in us]
-        return list(map(_raw, products))
+            tables = [u + pad for u in level.transversal.values()]
+            products = [rest.translate(t) for rest in products for t in tables]
+        return [_raw(tuple(g)) for g in products]
 
-    def _closure(self, seeds: Sequence[_Images]) -> tuple[PermGroup, list[_Pair]]:
-        """The normal closure of the seeds, image tuples of members of self
+    def _closure(self, seeds: Sequence[_Element]) -> tuple[PermGroup, list[_Pair]]:
+        """The normal closure of the seeds, engine elements of members of self
         not checked again, and the seeds h it closed (those outside the
         closure of the ones before, for which the engine adjoined) as
         (h^-1, h): the pair the engine stored if it adjoined h itself, else
@@ -587,7 +641,7 @@ class PermGroup:
             if not self._engine(levels, conjugators, h, gens):
                 raise RuntimeError("the push loop gave up in a group whose chain it built")
             if len(gens) > adjoined:
-                closed.append(next((p for p in gens[adjoined:] if p[1] is h), None) or (_inverse(h), h))
+                closed.append(next((p for p in gens[adjoined:] if p[1] is h), None) or (_invert(h), h))
         return _group_on(self, gens, levels), closed
 
     # -- serialization ----------------------------------------------------
@@ -628,10 +682,10 @@ class PermGroup:
 
 def _group_on(parent: PermGroup, pairs: list[_Pair], levels: list[_Level]) -> PermGroup:
     """The subgroup of parent generated by the gs of pairs, (g^-1, g) of
-    image tuples, keeping levels, a verified chain of it, pairs as its
+    engine elements, keeping levels, a verified chain of it, pairs as its
     normal generators, and parent's engine: a subgroup of a nilpotent group
     is nilpotent, and the worklist serves any group."""
-    group = PermGroup(parent.degree, (_raw(g) for _, g in pairs))
+    group = PermGroup(parent.degree, (_raw(tuple(g)) for _, g in pairs))
     group._engine, group._chain = parent._engine, levels
     group._normal = pairs
     return group
@@ -651,12 +705,22 @@ class CentralSeries:
         return [t.order() for t in self.terms]
 
 
-def _commutators(xs: Sequence[_Pair], ys: Sequence[_Pair]) -> list[_Images]:
+def _commutators(xs: Sequence[_Pair], ys: Sequence[_Pair]) -> list[_Element]:
     """The non-identity commutators [x, y] = x^-1 y^-1 x y of the (x^-1, x)
-    and (y^-1, y) pairs of image tuples, x-major."""
-    x_pairs = [(itemgetter(*x_inv), x) for x_inv, x in xs]
-    seeds = (itemgetter(*itemgetter(*xi(yi))(x))(y) for xi, x in x_pairs for yi, y in ys)
-    return [s for s in seeds if s != _identity(len(s))]
+    and (y^-1, y) pairs of engine elements, x-major.  When xs is ys, only
+    the pairs (y_i, y_j) with i < j are formed: [y_j, y_i] is the inverse of
+    [y_i, y_j], so it lies in any closure that [y_i, y_j] does, and
+    [y, y] = 1."""
+    degree = len(ys[0][1])
+    identity, pad = _one(degree), _pad(degree)
+    x_pairs = [(x_inv, x + pad) for x_inv, x in xs]
+    y_pairs = [(y_inv + pad, y + pad) for y_inv, y in ys]
+    seeds = (
+        x_inv.translate(y_inv).translate(x).translate(y)
+        for i, (x_inv, x) in enumerate(x_pairs)
+        for y_inv, y in y_pairs[i + 1 if xs is ys else 0 :]
+    )
+    return [s for s in seeds if s != identity]
 
 
 def lower_central_series(G: PermGroup) -> CentralSeries:
@@ -664,10 +728,11 @@ def lower_central_series(G: PermGroup) -> CentralSeries:
 
     With Y the normal generators of G (G = <Y>) and term[i] the normal
     closure of X_i, [term[i], G] is the normal closure of the commutators
-    [x, y], x in X_i, y in Y; X_0 = Y, and X_(i+1) is the commutators that
-    closure closed, each with the inverse the engine stored when it adjoined
-    it.  It is grown by adjoins for nilpotent G (a p-group's term N keeps
-    exactly log_p |N| generators)."""
+    [x, y], x in X_i, y in Y; X_0 = Y, whose pairs (y_i, y_j) are taken
+    with i < j only, and X_(i+1) is the commutators that closure closed,
+    each with the inverse the engine stored when it adjoined it.  It is
+    grown by adjoins for nilpotent G (a p-group's term N keeps exactly
+    log_p |N| generators)."""
     ys = xs = G._normal_generators()
     terms = [G]
     while terms[-1].order() > 1:
@@ -689,9 +754,9 @@ def nilpotency_class(G: PermGroup) -> int:
     return series.nilpotency_class
 
 
-def _central_from_point_images(G: PermGroup) -> list[_Images]:
+def _central_from_point_images(G: PermGroup) -> list[_Element]:
     """The nonidentity central elements of a transitive nonabelian G, as
-    image tuples, found without listing G.
+    engine elements, found without listing G.
 
     Level 0 of G's chain has base point b and, G being transitive, a u_y
     with b^u_y = y for every point y; the deeper levels generate G_b.  A
@@ -707,8 +772,8 @@ def _central_from_point_images(G: PermGroup) -> list[_Images]:
     stabilizer_gens = [s for level in levels[1:] for s in level.gens]
     fixed = [t for t in range(G.degree) if t != b and all(s[t] == t for s in stabilizer_gens)]
     u = [levels[0].transversal[y] for y in range(G.degree)]
-    candidates = (tuple(u_y[t] for u_y in u) for t in sorted(fixed, key=u[0].__getitem__))
-    identity = _identity(G.degree)
+    candidates = (_element([u_y[t] for u_y in u]) for t in sorted(fixed, key=u[0].__getitem__))
+    identity = _one(G.degree)
     return [z for z in candidates if _sift(levels, z) == identity]
 
 
@@ -734,7 +799,7 @@ def center(G: PermGroup) -> PermGroup:
         central = _central_from_point_images(G)
     else:
         central = [
-            z.images
+            _element(z.images)
             for z in G.elements()
             if not z.is_identity() and all(z * g == g * z for g in G.generators)
         ]

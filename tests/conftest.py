@@ -115,7 +115,8 @@ def assert_chain_verified(levels, generators) -> None:
 
 def build_chain(G: PermGroup, point: int) -> list:
     """A verified Schreier-Sims chain of G based first at point."""
-    return perm._build_chain([perm._Level(point, G.identity.images)], [g.images for g in G.generators])
+    gens = [perm._element(g.images) for g in G.generators]
+    return perm._build_chain([perm._Level(point, perm._one(G.degree))], gens)
 
 
 def stabilizer_levels(G: PermGroup, point: int) -> list:
@@ -212,7 +213,7 @@ def build_corpus() -> list[tuple[str, PermGroup]]:
         ("dihedral(4,3)", dihedral_times_abelian(4, 3)),
         ("dihedral(5,4)", dihedral_times_abelian(5, 4)),
         ("D4xC3", product_action(iterated_wreath_sylow(2, 2), cyclic(3))),
-        ("stab(W(2,3),0)", PermGroup(8, [Permutation(g) for level in tower[1:] for g in level.gens])),
+        ("stab(W(2,3),0)", PermGroup(8, [Permutation(tuple(g)) for lv in tower[1:] for g in lv.gens])),
     ]
     return corpus
 

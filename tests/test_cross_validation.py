@@ -6,6 +6,9 @@ elsewhere.  sympy.combinatorics shares no code with this package, which
 makes it a true second opinion on orders, stabilizers and series.
 """
 
+import functools
+import operator
+
 import pytest
 
 sympy_comb = pytest.importorskip("sympy.combinatorics")
@@ -26,10 +29,13 @@ from nilbound.perm import PermGroup, Permutation, center, lower_central_series
 from nilbound.search import enumerate_subgroups
 
 from conftest import (
+    NAIVE_CLOSURE_LIMIT,
     WITNESS_BLUEPRINTS,
     abelian_groups,
     assert_chain_verified,
     build_corpus,
+    cyclic,
+    naive_closure,
     stabilizer_levels,
     stabilizer_order,
 )
@@ -171,14 +177,29 @@ def test_center_past_the_default_limit_matches(monkeypatch):
 
 
 def test_series_profiles_match():
+    # the chain engine stores an element of degree n <= 256 as n bytes and
+    # a larger one as a tuple: degrees 1 and 2 are its shortest byte
+    # strings, 255 and 256 its longest, 257 the first past them
     for G in (
         iterated_wreath_sylow(3, 2),
         affine_unitriangular(2, 4, 2),
         wreath_polynomial_group(2, 2, 2, 2),
+        *(cyclic(n) for n in (1, 2, 255, 256, 257)),
+        affine_unitriangular(2, 8, 1),
     ):
+        sym = to_sympy(G)
+        assert G.order() == sym.order()
         ours = lower_central_series(G).order_profile()
-        theirs = [t.order() for t in to_sympy(G).lower_central_series()]
+        theirs = [t.order() for t in sym.lower_central_series()]
         assert ours == theirs
+        # the transposition (0 1) lies in C2 alone; at degree 1 the
+        # identity stands in for it
+        outsider = Permutation.from_cycles(G.degree, (0, 1)) if G.degree > 1 else G.identity
+        assert (outsider in G) == sym.contains(SymPerm(list(outsider.images)))
+        assert all(g in G for g in (*G.generators, functools.reduce(operator.mul, G.generators)))
+        if G.order() <= NAIVE_CLOSURE_LIMIT:
+            closure = naive_closure(G.degree, G.generators)
+            assert {g.images for g in G.elements()} == closure and len(closure) == G.order()
 
 
 @pytest.mark.parametrize("p, k, cls", [(2, 4, 8), (2, 5, 16), (3, 3, 9)])

@@ -238,13 +238,13 @@ class TestNormalClosureAndCommutators:
 
     def test_full_seeds(self):
         G = iterated_wreath_sylow(2, 2)
-        assert G._closure([g.images for g in G.generators])[0].order() == G.order()
+        assert G._closure([perm._element(g.images) for g in G.generators])[0].order() == G.order()
 
     def test_dihedral_center_seed(self):
         # the square of the 4-cycle generates a normal subgroup of order 2
         r = Permutation.from_cycles(4, (0, 1, 2, 3))
         G = PermGroup(4, [r, Permutation.from_cycles(4, (0, 2))])
-        N = G._closure([(r * r).images])[0]
+        N = G._closure([perm._element((r * r).images)])[0]
         assert N.order() == 2
         # oracle: closed under conjugation by everything
         for images in naive_closure(4, G.generators):
@@ -286,7 +286,7 @@ class TestNormalClosureAndCommutators:
         G = iterated_wreath_sylow(2, 3)
         gens, order, chain = G.generators, G.order(), G._levels()
         snapshot = [(lv.point, list(lv.gens), dict(lv.transversal)) for lv in chain]
-        N = G._closure([commutator(G.generators[0], G.generators[2]).images])[0]
+        N = G._closure([perm._element(commutator(G.generators[0], G.generators[2]).images)])[0]
         assert 1 < N.order() < order
         assert G.generators == gens and G.order() == order
         assert G._levels() is chain
@@ -440,7 +440,7 @@ class TestChainOracle:
                 # the first are the stabilizer's chain
                 levels = build_chain(G, point)
                 assert_chain_verified(levels, G.generators)
-                stabilizer = [Permutation(s) for level in levels[1:] for s in level.gens]
+                stabilizer = [Permutation(tuple(s)) for level in levels[1:] for s in level.gens]
                 assert_chain_verified(levels[1:], stabilizer)
                 assert G.order() == len(G.orbit(point)) * stabilizer_order(G, point), name
 
@@ -473,7 +473,7 @@ class TestChainOracle:
             lower_central_series(G)
         for levels in chains:
             non_tree = sum(
-                compose(u, s) != level.transversal[s[x]]
+                compose(u, s) != tuple(level.transversal[s[x]])
                 for i, level in enumerate(levels)
                 for s in [g for deeper in levels[i:] for g in deeper.gens]
                 for x, u in level.transversal.items()
@@ -499,11 +499,11 @@ class TestChainOracleOnSchreierSims(TestChainOracle):
 @pytest.mark.parametrize("engine", ["push loop", "worklist"])
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_small_degrees_run_every_kernel_path(degree, engine):
-    # the kernel's product itemgetter(*a)(b) returns a scalar for a
-    # one-point a and raises for an empty one, so no path may multiply below
-    # degree 2: the trivial groups, and at degree 2 the group of the
-    # transposition, through order, membership, elements, both chain
-    # builders, closures by either engine, the series and the center
+    # the engine's elements are empty or one byte long below degree 2, and
+    # Permutation.__mul__ forms no product there: the trivial groups, and at
+    # degree 2 the group of the transposition, through order, membership,
+    # elements, both chain builders, closures by either engine, the series
+    # and the center
     identity = Permutation.identity(degree)
     groups = [PermGroup(degree), PermGroup(degree, [identity, identity])]
     if degree == 2:
@@ -512,7 +512,8 @@ def test_small_degrees_run_every_kernel_path(degree, engine):
         closure = naive_closure(degree, G.generators)
         assert G.order() == len(closure)
         assert_chain_verified(G._levels(), G.generators)
-        assert_chain_verified(perm._build_chain([], [g.images for g in G.generators]), G.generators)
+        gens = [perm._element(g.images) for g in G.generators]
+        assert_chain_verified(perm._build_chain([], gens), G.generators)
         if engine == "worklist":
             G._engine = perm._worklist_closure
         assert {g.images for g in G.elements()} == closure
@@ -520,7 +521,7 @@ def test_small_degrees_run_every_kernel_path(degree, engine):
         if degree == 2:
             assert (Permutation((1, 0)) in G) == (G.order() == 2)
         assert G._closure([])[0].order() == 1
-        N, closed = G._closure([identity.images, *sorted(closure)])
+        N, closed = G._closure([perm._element(x) for x in (identity.images, *sorted(closure))])
         assert N.order() == G.order() and len(closed) == (G.order() > 1)
         assert_chain_verified(N._levels(), N.generators)
         series = lower_central_series(G)
@@ -613,11 +614,11 @@ class TestAdjoinPath:
         # push loop again: not the closure, nor the series terms and
         # closures of G's subgroups, which must match the oracles
         gave_up.clear()
-        N = G._closure([G.generators[0].images])[0]
+        N = G._closure([perm._element(G.generators[0].images)])[0]
         assert gave_up == []
         for H in [*series.terms, N]:
             x = H.generators[0]
-            closure = H._closure([x.images])[0]
+            closure = H._closure([perm._element(x.images)])[0]
             assert {g.images for g in closure.elements()} == naive_closure(
                 H.degree, [g.inverse() * x * g for g in H.elements()]
             )
@@ -640,8 +641,8 @@ class TestAdjoinPath:
         for name, G in groups:
             Y = [y for _, y in G._normal_generators()]
             rest = iter(G.generators)
-            assert all(any(y is g.images for g in rest) for y in Y), name
-            Y = [Permutation(y) for y in Y]
+            assert all(any(tuple(y) == g.images for g in rest) for y in Y), name
+            Y = [Permutation(tuple(y)) for y in Y]
             if G.order() <= NAIVE_CLOSURE_LIMIT:
                 assert len(naive_closure(G.degree, Y)) == G.order(), name
             else:
@@ -673,7 +674,8 @@ class TestAdjoinPath:
             if G.order() <= perm.ELEMENT_LIMIT and not G.is_abelian():
                 closures.append(center(G))
             if series.nilpotency_class is not None:  # else a stalled closure adjoined too
-                assert [g.images for H in closures for g in H.generators] == adjoined, name
+                kept = [g.images for H in closures for g in H.generators]
+                assert kept == list(map(tuple, adjoined)), name
             for H in [G, *closures]:
                 for y_inv, y in H._normal_generators():
                     assert len(y_inv) == H.degree, name
@@ -686,18 +688,18 @@ class TestAdjoinPath:
         # what it adjoins, which in S3 may equal a y, but not the stored y)
         groups = [G for _, G in build_corpus()] + [realize_json(bp) for bp in WITNESS_BLUEPRINTS]
         inverted = []
-        real_inverse = perm._inverse
+        real_invert = perm._invert
 
-        def inverse(images):
-            inverted.append(images)
-            return real_inverse(images)
+        def invert(g):
+            inverted.append(g)
+            return real_invert(g)
 
         for G in groups:
             G = PermGroup(G.degree, G.generators)  # no chain yet
             G.order()
-            Y = [g.images for g in G.generators]
-            assert all(any(y is g for g in Y) for _, y in G._normal_generators())
-            monkeypatch.setattr(perm, "_inverse", inverse)
+            Y = [y for _, y in G._normal_generators()]
+            assert all(any(tuple(y) == g.images for g in G.generators) for y in Y)
+            monkeypatch.setattr(perm, "_invert", invert)
             lower_central_series(G)
             if G.order() <= perm.ELEMENT_LIMIT:
                 center(G)
@@ -712,12 +714,12 @@ class TestAdjoinPath:
         # so outside the engine it never inverts an element the engine
         # stored with its inverse
         groups = [G for _, G in build_corpus()] + [realize_json(bp) for bp in WITNESS_BLUEPRINTS]
-        real_inverse, real_adjoin = perm._inverse, perm._adjoin
+        real_invert, real_adjoin = perm._invert, perm._adjoin
         inverted, stored, sifts = [], [], collections.Counter()
 
-        def inverse(images):
-            inverted.append(images)
-            return real_inverse(images)
+        def invert(g):
+            inverted.append(g)
+            return real_invert(g)
 
         def adjoin(levels, w, w_inv, q):
             assert [w_inv[x] for x in w] == list(range(len(w)))
@@ -727,7 +729,7 @@ class TestAdjoinPath:
             assert len(inverted) - before == changed
             sifts[changed] += 1
 
-        monkeypatch.setattr(perm, "_inverse", inverse)
+        monkeypatch.setattr(perm, "_invert", invert)
         monkeypatch.setattr(perm, "_adjoin", adjoin)
         for G in groups:
             G = PermGroup(G.degree, G.generators)  # no chain yet
@@ -753,9 +755,12 @@ class TestAdjoinPath:
         # adjoining c^2, after which c lies in <c^3, c^2> and is never
         # adjoined itself: _closure pairs c with its inverse
         c = Permutation.from_cycles(6, (0, 1, 2, 3, 4, 5))
-        N, closed = PermGroup(6, [c])._closure([(c**3).images, c.images])
+        N, closed = PermGroup(6, [c])._closure([perm._element((c**3).images), perm._element(c.images)])
         assert N.order() == 6 and [g.images for g in N.generators] == [(c**3).images, (c**2).images]
-        assert closed == [((c**3).inverse().images, (c**3).images), (c.inverse().images, c.images)]
+        assert [(tuple(h_inv), tuple(h)) for h_inv, h in closed] == [
+            ((c**3).inverse().images, (c**3).images),
+            (c.inverse().images, c.images),
+        ]
 
 
 class TestCenter:
@@ -830,7 +835,8 @@ class TestCenter:
                 if not z.is_identity() and all(z * g == g * z for g in G.generators)
             ]
             candidates = _central_from_point_images(G)
-            assert candidates == [z.images for z in sorted(scan, key=lambda z: z.images[0])], G.generators
+            expected = [z.images for z in sorted(scan, key=lambda z: z.images[0])]
+            assert list(map(tuple, candidates)) == expected, G.generators
             assert len(candidates) == center(G).order() - 1
             checked += 1
         assert checked > 0
@@ -917,7 +923,8 @@ class TestEngineInvariants:
 
         def update(levels):
             for level in levels:
-                digest.update(f"{level.point} {level.gens} {list(level.transversal)}\n".encode())
+                gens = [tuple(g) for g in level.gens]
+                digest.update(f"{level.point} {gens} {list(level.transversal)}\n".encode())
             digest.update(b"\n")
 
         for G in groups:

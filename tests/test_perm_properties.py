@@ -3,6 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nilbound import perm
 from nilbound.perm import PermGroup, Permutation, commutator
 
 from conftest import assert_chain_verified, naive_closure, stabilizer_order
@@ -85,7 +86,7 @@ def test_normal_closure_matches_naive_closure(G, data):
     elements = [Permutation(images) for images in closure]
     seed = data.draw(st.sampled_from(elements))
     conjugates = [g.inverse() * seed * g for g in elements]
-    assert G._closure([seed.images])[0].order() == len(
+    assert G._closure([perm._element(seed.images)])[0].order() == len(
         naive_closure(G.degree, conjugates, limit=1000)
     )
 
@@ -96,5 +97,5 @@ def test_chains_pass_the_independent_oracle(G, data):
     assert_chain_verified(G._levels(), G.generators)
     # a normal closure grows its chain one kept generator at a time
     seeds = data.draw(st.lists(st.sampled_from(G.elements()), max_size=3))
-    N = G._closure([s.images for s in seeds])[0]
+    N = G._closure([perm._element(s.images) for s in seeds])[0]
     assert_chain_verified(N._levels(), N.generators + tuple(seeds))
