@@ -18,14 +18,14 @@ closed the term before (Holt, Eick & O'Brien, "Handbook of Computational
 Group Theory", 2005).  The series and the center close members of G, which
 are not checked again.  A chain attached to a group is never mutated
 afterwards, so groups are safe to share across threads.  The engine works on
-byte strings, not Permutation objects: an element of degree n <= 256 is the
-n-byte string of its images, a chain's levels and the seeds of a closure are
-such strings, a group's normal generators are stored once with their
-inverses as (y^-1, y) pairs, which every closure and series term reads, and
-Permutations are made only where the public API hands elements back
-(``elements()`` and the generators of a closure).  A product "apply a, then
-b" runs in C as ``a.translate(b + pad)``, with pad the identity's bytes past
-n, so b + pad is the 256-byte table translate reads; an inverse is
+byte strings: an element of degree n <= 256 is the n-byte string of its
+images, and a Permutation wraps its engine element, so the engine reads a
+generator and hands an element back with no conversion.  A chain's levels
+and the seeds of a closure are such strings, and a group's normal generators
+are stored once with their inverses as (y^-1, y) pairs, which every closure
+and series term reads.  A product "apply a, then b", public or in the
+engine, runs in C as ``a.translate(b + pad)``, with pad the identity's bytes
+past n, so b + pad is the 256-byte table translate reads; an inverse is
 ``bytes.maketrans(a, identity)[:n]``.  Elements are stored unpadded.  Past
 degree 256 a point does not fit in a byte: there an element is a _Wide image
 tuple whose translate is the product ``itemgetter(*a)(b)`` and whose pad is
@@ -49,9 +49,6 @@ from typing import Iterable, Sequence
 
 ELEMENT_LIMIT = 1_000_000  # the largest order whose elements or center are computed
 
-_Images = tuple[int, ...]  # a permutation as its image tuple: point x goes to images[x]
-
-
 class GroupError(Exception):
     """A group-theoretic precondition failed."""
 
@@ -65,9 +62,10 @@ class GuardExceeded(GroupError):
 
 
 class Permutation:
-    """A bijection of {0, ..., n-1} stored as an image array."""
+    """A bijection of {0, ..., n-1}, wrapping its engine element: the n-byte
+    string of its images up to degree 256, a _Wide image tuple past it."""
 
-    __slots__ = ("_images",)
+    __slots__ = ("_element",)
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -77,14 +75,14 @@ class Permutation:
             if type(x) is not int or not 0 <= x < n or seen[x]:  # bool is not a point
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[x] = True
-        self._images = images
+        self._element = _element(images)
 
     @staticmethod
     @functools.cache
     def identity(degree: int) -> Permutation:
         if degree < 0:
             raise ValueError(f"degree must be non-negative, got {degree}")
-        return _raw(_identity(degree))
+        return _raw(_one(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> Permutation:
@@ -108,29 +106,28 @@ class Permutation:
 
     @property
     def images(self) -> tuple[int, ...]:
-        return self._images
+        return tuple(self._element)
 
     @property
     def degree(self) -> int:
-        return len(self._images)
+        return len(self._element)
 
     def __call__(self, point: int) -> int:
-        if not 0 <= point < len(self._images):
-            raise ValueError(f"point {point} out of range for degree {len(self._images)}")
-        return self._images[point]
+        if not 0 <= point < len(self._element):
+            raise ValueError(f"point {point} out of range for degree {len(self._element)}")
+        return self._element[point]
 
     def __mul__(self, other: Permutation) -> Permutation:
         # apply self first, then other
         if not isinstance(other, Permutation):
             return NotImplemented
-        if len(self._images) != len(other._images):
+        a, b = self._element, other._element
+        if len(a) != len(b):
             raise ValueError("degree mismatch")
-        if len(self._images) < 2:  # the identity; itemgetter needs 2 for a tuple
-            return other
-        return _raw(itemgetter(*self._images)(other._images))
+        return _raw(a.translate(b + _pad(len(a))))
 
     def inverse(self) -> Permutation:
-        return _raw(_inverse(self._images))
+        return _raw(_invert(self._element))
 
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
@@ -146,34 +143,36 @@ class Permutation:
         return Permutation.identity(self.degree) if result is None else result
 
     def is_identity(self) -> bool:
-        return self._images == _identity(len(self._images))
+        return self._element == _one(len(self._element))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
         seen = set()
         out = []
-        for i in range(len(self._images)):
-            if i in seen or self._images[i] == i:
+        for i in range(len(self._element)):
+            if i in seen or self._element[i] == i:
                 continue
             cycle = [i]
-            j = self._images[i]
+            j = self._element[i]
             while j != i:
                 seen.add(j)
                 cycle.append(j)
-                j = self._images[j]
+                j = self._element[j]
             out.append(tuple(cycle))
         return out
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self._images == other._images
+        return isinstance(other, Permutation) and self._element == other._element
 
     def __hash__(self) -> int:
-        return hash(self._images)
+        return hash(self._element)
 
     def __lt__(self, other: Permutation) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._images < other._images
+        a, b = self._element, other._element
+        # bytes and _Wide do not compare with each other
+        return a < b if type(a) is type(b) else tuple(a) < tuple(b)
 
     def __repr__(self) -> str:
         cycles = self.cycles()
@@ -183,23 +182,11 @@ class Permutation:
         return f"Permutation[{self.degree}: {text}]"
 
 
-def _raw(images: _Images) -> Permutation:
-    """Wrap an image tuple that is already known to be a bijection."""
+def _raw(g: _Element) -> Permutation:
+    """Wrap an engine element, which is already known to be a bijection."""
     p = Permutation.__new__(Permutation)
-    p._images = images
+    p._element = g
     return p
-
-
-@functools.cache
-def _identity(degree: int) -> _Images:
-    return tuple(range(degree))
-
-
-def _inverse(images: _Images) -> _Images:
-    inv = [0] * len(images)
-    for i, x in enumerate(images):
-        inv[x] = i
-    return tuple(inv)
 
 
 class _Wide(tuple):
@@ -209,7 +196,7 @@ class _Wide(tuple):
 
     __slots__ = ()
 
-    def translate(self, b: _Images) -> _Wide:
+    def translate(self, b: tuple[int, ...]) -> _Wide:
         return _Wide(itemgetter(*self)(b))
 
 
@@ -240,7 +227,12 @@ def _pad(degree: int) -> bytes | tuple[()]:
 def _invert(g: _Element) -> _Element:
     """g^-1: maketrans(g, identity) sends each g[x] back to x."""
     n = len(g)
-    return bytes.maketrans(g, _ID[:n])[:n] if n <= 256 else _Wide(_inverse(g))
+    if n <= 256:
+        return bytes.maketrans(g, _ID[:n])[:n]
+    inv = [0] * n
+    for i, x in enumerate(g):
+        inv[x] = i
+    return _Wide(inv)
 
 
 def commutator(x: Permutation, y: Permutation) -> Permutation:
@@ -551,7 +543,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    gens = [_element(g.images) for g in self._generators]
+                    gens = [g._element for g in self._generators]
                     identity = _one(self._degree)
                     first = next((g for g in gens if g != identity), None)
                     levels = [] if first is None else [_Level(_least_moved(first), identity)]
@@ -583,7 +575,7 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         if not isinstance(g, Permutation) or g.degree != self._degree:
             return False
-        return _sift(self._levels(), _element(g.images)) == _one(self._degree)
+        return _sift(self._levels(), g._element) == _one(self._degree)
 
     def is_abelian(self) -> bool:
         gens = self._generators
@@ -595,7 +587,7 @@ class PermGroup:
         """The orbit of point, sorted ascending."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range for degree {self._degree}")
-        gens = [g.images for g in self._generators]
+        gens = [g._element for g in self._generators]
         seen = {point}
         frontier = [point]
         while frontier:
@@ -623,7 +615,7 @@ class PermGroup:
         for level in reversed(self._levels()):
             tables = [u + pad for u in level.transversal.values()]
             products = [rest.translate(t) for rest in products for t in tables]
-        return [_raw(tuple(g)) for g in products]
+        return [_raw(g) for g in products]
 
     def _closure(self, seeds: Sequence[_Element]) -> tuple[PermGroup, list[_Pair]]:
         """The normal closure of the seeds, engine elements of members of self
@@ -649,7 +641,7 @@ class PermGroup:
     def to_json(self) -> dict:
         return {
             "degree": self._degree,
-            "generators": [list(g.images) for g in self._generators],
+            "generators": [list(g._element) for g in self._generators],
         }
 
     @classmethod
@@ -685,7 +677,7 @@ def _group_on(parent: PermGroup, pairs: list[_Pair], levels: list[_Level]) -> Pe
     engine elements, keeping levels, a verified chain of it, pairs as its
     normal generators, and parent's engine: a subgroup of a nilpotent group
     is nilpotent, and the worklist serves any group."""
-    group = PermGroup(parent.degree, (_raw(tuple(g)) for _, g in pairs))
+    group = PermGroup(parent.degree, (_raw(g) for _, g in pairs))
     group._engine, group._chain = parent._engine, levels
     group._normal = pairs
     return group
@@ -799,7 +791,7 @@ def center(G: PermGroup) -> PermGroup:
         central = _central_from_point_images(G)
     else:
         central = [
-            _element(z.images)
+            z._element
             for z in G.elements()
             if not z.is_identity() and all(z * g == g * z for g in G.generators)
         ]

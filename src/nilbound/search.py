@@ -27,12 +27,12 @@ caller passes none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterator
 
 from . import bounds
 from .constructions import iterated_wreath_sylow, require_prime
-from .perm import GuardExceeded, PermGroup, Permutation, lower_central_series
+from .perm import GuardExceeded, PermGroup, lower_central_series
 
 DEFAULT_BUDGET = 500_000
 
@@ -62,12 +62,12 @@ class _Tables:
 
     def __init__(self, group: PermGroup):
         self.elements = elements = sorted(group.elements())
-        self.index = index = {g.images: i for i, g in enumerate(elements)}
-        self.identity = identity = index[tuple(range(group.degree))]
+        self.index = index = {g: i for i, g in enumerate(elements)}
+        self.identity = identity = index[group.identity]
         self.n = n = len(elements)
         self.pad = pad = bytes(256 - n)
         self.trivial = 1 << 8 * (n - 1 - identity)
-        lefts = [bytes(index[(s * x).images] for x in elements) + pad for s in group.generators]
+        lefts = [bytes(index[s * x] for x in elements) + pad for s in group.generators]
         mult: list = [bytes(range(n)) if i == identity else None for i in range(n)]
         reached = [identity]
         for k in reached:
@@ -84,9 +84,9 @@ class _Tables:
         flat = b"".join(conj)
         self.conj_of = [flat[x::n] for x in range(n)]
         self.degree = group.degree
-        self.gen_indices = sorted(index[g.images] for g in group.generators)
+        self.gen_indices = sorted(index[g] for g in group.generators)
         # degree 0 has no point 0: stab is empty and no subgroup is transitive
-        self.stab = int.from_bytes(bytes(g.images[:1] == (0,) for g in elements), "big")
+        self.stab = int.from_bytes(bytes(g(0) == 0 for g in elements), "big") if group.degree else 0
         self.closures: dict[tuple[int, int], int] = {}
 
     def table(self, mask: int) -> bytes:
@@ -246,9 +246,13 @@ def _iter_subgroup_sets(
 def _prime_order_stream(S: PermGroup, max_count: int) -> Iterator[PermGroup]:
     """1, then S on its least element but 1, for S of prime order p: the
     guard admits any p, whose elements may not fit the stream's byte masks.
-    The elements but 1 are the powers g, ..., g^(p-1) of any one of them."""
+    The elements but 1 are the powers g^a, 0 < a < p, of any one of them,
+    and all move the same points, so they first differ at x, the least
+    point g moves: the least is the g^a that sends x to the least point of
+    x's cycle under g but x."""
     g = next(s for s in S.generators if not s.is_identity())
-    least = min(accumulate(repeat(g, S.order() - 1), Permutation.__mul__))
+    cycle = g.cycles()[0]  # x, x^g, x^(g^2), ...
+    least = g ** min(range(1, len(cycle)), key=cycle.__getitem__)
     for visited, gens in enumerate(([], [least]), start=1):
         _check_budget(visited, max_count)
         yield PermGroup(S.degree, gens)

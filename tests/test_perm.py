@@ -127,6 +127,18 @@ class TestPermutation:
         with pytest.raises(TypeError):
             Permutation([1, 0]) < other
 
+    def test_order_across_the_byte_boundary(self):
+        # a permutation is bytes up to degree 256 and a _Wide tuple past it,
+        # which do not compare; the order stays that of the image tuples,
+        # a proper prefix first
+        short, wide = Permutation(range(3)), Permutation(range(300))
+        swap = Permutation((1, 0, 2))
+        edge, past = Permutation.identity(256), Permutation.from_cycles(257, (0, 256))
+        assert short < wide and not wide < short
+        assert wide < swap and not swap < wide
+        assert edge < past and not past < edge
+        assert sorted([past, swap, wide, short, edge]) == [short, edge, wide, swap, past]
+
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))

@@ -26,12 +26,21 @@ def permutation_pairs(draw):
     return draw(permutations_of(degree)), draw(permutations_of(degree))
 
 
+def reversal_and_rotation(degree: int) -> tuple[Permutation, Permutation]:
+    return Permutation(range(degree - 1, -1, -1)), Permutation.from_cycles(degree, tuple(range(degree)))
+
+
 @example((Permutation(()), Permutation(())))
 @example((Permutation((0,)), Permutation((0,))))
+@example(reversal_and_rotation(255))
+@example(reversal_and_rotation(256))  # the last degree stored as bytes
+@example(reversal_and_rotation(257))  # the first stored as a _Wide tuple
 @given(permutation_pairs())
 def test_kernel_matches_naive_loops(pair):
     a, b = pair
     n = a.degree
+    assert type(a.images) is tuple
+    assert hash(a) == hash(Permutation(a.images))
     assert (a * b).images == tuple(b.images[x] for x in a.images)
     for p in (a, a * a.inverse()):
         assert p.is_identity() == (p.images == tuple(range(n)))

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import operator
 
 import pytest
 
@@ -145,6 +146,23 @@ class TestEnumerateSubgroups:
         with pytest.raises(GuardExceeded, match="visited 2 subgroups, over the budget 1$"):
             list(enumerate_subgroups(C, dedupe=dedupe, max_count=1))
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(cyclic(5).generators[0], id="C5"),
+            pytest.param(cyclic(257).generators[0], id="C257"),
+            pytest.param(cyclic(1009).generators[0], id="C1009"),
+            pytest.param(Permutation.from_cycles(8, (3, 5, 7, 4, 6)), id="5-cycle-on-3..7"),
+            pytest.param(Permutation.from_cycles(6, (0, 2, 1), (3, 5, 4)), id="two-3-cycles"),
+        ],
+    )
+    def test_prime_order_least_element_is_the_least_power(self, g):
+        # the stream reads its least power off one cycle; the oracle is the
+        # least of all p - 1 powers
+        S = PermGroup(g.degree, [g])
+        least = min(itertools.accumulate(itertools.repeat(g, S.order() - 1), operator.mul))
+        assert [H.generators for H in enumerate_subgroups(S)] == [(), (least,)]
+
     def test_order_guard(self):
         with pytest.raises(GuardExceeded):
             list(enumerate_subgroups(iterated_wreath_sylow(2, 4)))
@@ -222,7 +240,7 @@ def test_carried_generators_and_class(p, k):
             assert p ** len(gens) <= K.bit_count()
             perms = [tables.elements[g] for g in gens]
             closure = naive_closure(tables.degree, perms)
-            assert as_mask(tables, map(tables.index.__getitem__, closure)) == K
+            assert as_mask(tables, (tables.index[Permutation(x)] for x in closure)) == K
             assert tables.subgroup_class(K, gens) == nilpotency_class(tables.to_perm_group(K))
         assert count == budget
 
@@ -326,7 +344,7 @@ def test_class_needs_the_normal_closure():
     G = PermGroup(16, [a, b])
     tables = _Tables(G)
     whole = as_mask(tables, range(len(tables.elements)))
-    gens = [tables.index[a.images], tables.index[b.images]]
+    gens = [tables.index[a], tables.index[b]]
     assert (G.order(), nilpotency_class(G)) == (32, 3)
     assert tables.subgroup_class(whole, gens) == 3
 
