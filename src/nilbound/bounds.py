@@ -10,10 +10,14 @@ s_i = 1 contributes i.  The maximum of T over all compositions of k into c
 non-negative parts is the upper bound on the log_p-order of a nilpotent
 transitive group of degree p^k and class at most c.
 
-f_upper and best_composition share one cached suffix dynamic program: the
-best score of parts i..c after a prefix sum s is the maximum over the next part
-t of t * (1 + s + ... + s^(i-1)) plus the best score of parts i+1..c after
-s + t.  The smallest such t, part by part, gives the lexicographically least
+f_upper and best_composition read one forward pass over prefix sums: with
+P_2(s) = s, the best score of parts 1..i summing to t is P_(i+1)(t), the max
+over s <= t of P_i(s) + (t - s) * g_i(s), g_i(s) = 1 + s + ... + s^(i-1), and
+F(k, c) = P_(c+1)(k); no cell enters the recurrence, so a pass to (kmax, cmax)
+gives every smaller cell.  Each level is a monotone upper envelope of lines in
+t (slopes g_i(s) and queries t both rise), O(kmax) steps.  Ties go to the
+smallest s, and as (t - s) * g_i(s) satisfies the quadrangle inequality,
+walking the smallest predecessors back gives the lexicographically least
 witness.  The closed forms f_closed for c <= 4 cross-check it.
 """
 
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -50,15 +53,57 @@ def composition_value(parts: Sequence[int]) -> int:
     return total
 
 
-# Every admitted cell finishes in about a second, its scores far below the
-# 4300 digits past which Python refuses to print an int.
+# The admitted set of cells, kept from the O(k*k*c) dynamic program that
+# preceded the forward pass; their scores stay far below the 4300 digits past
+# which Python refuses to print an int.
 DP_CELL_LIMIT = 4_000_000
 SCORE_DIGIT_LIMIT = 1000
 
 
+def composition_maxima(kmax: int, cmax: int) -> tuple[list[list[int]], list[list[int]]]:
+    """One forward pass (module docstring): rows[c-1][t] = F(t, c) for
+    t <= kmax, c <= cmax, and preds[c-1][t] the sum of the first c-1 parts of
+    its lexicographically least witness."""
+    m = kmax + 1
+    rows, preds = [list(range(m))], [[0] * m]
+    for c in range(2, cmax + 1):
+        prev, row, pred = rows[-1], [], []
+        # predecessor s's line maps t to a*t + b = (its score) * m + kmax - s;
+        # hull holds the upper envelope as (least t >= 0 where the line beats
+        # the one before it, a, b)
+        hull: list[tuple[int, int, int]] = []
+        front = 0
+        for t in range(m):
+            g = _geometric_sum(t, c)
+            a, b = g * m, (prev[t] - t * g) * m + kmax - t
+            # pop the last line while it is nowhere above both its neighbours
+            start = 0
+            while hull and (start := max(0, (hull[-1][2] - b) // (a - hull[-1][1]) + 1)) <= hull[-1][0]:
+                hull.pop()
+            hull.append((start, a, b))
+            front = min(front, len(hull) - 1)
+            while front + 1 < len(hull) and hull[front + 1][0] <= t:
+                front += 1
+            value, tie = divmod(hull[front][1] * t + hull[front][2], m)
+            row.append(value)
+            pred.append(kmax - tie)
+        rows.append(row)
+        preds.append(pred)
+    return rows, preds
+
+
+def _witness(preds: list[list[int]], k: int, c: int) -> tuple[int, ...]:
+    """The composition of k into c parts that preds of composition_maxima name."""
+    parts = []
+    for pred in reversed(preds[:c]):
+        parts.append(k - pred[k])
+        k = pred[k]
+    return tuple(reversed(parts))
+
+
 @functools.lru_cache(maxsize=None)
 def _maximize(k: int, c: int) -> tuple[int, tuple[int, ...]]:
-    """f_upper(k, c) and its lexicographically least witness (module docstring)."""
+    """f_upper(k, c) and its lexicographically least witness, from one pass."""
     if k < 1 or c < 1:
         raise ValueError("k and c must be positive")
     cells = k * k * c
@@ -69,21 +114,11 @@ def _maximize(k: int, c: int) -> tuple[int, tuple[int, ...]]:
     if digits > SCORE_DIGIT_LIMIT:
         raise GuardExceeded(f"f_upper scores reach c*log10(k+1) = {digits} digits, "
                             f"over the limit {SCORE_DIGIT_LIMIT}")
-    # best[i][s]: the best score of parts i..c after the prefix sum s
-    best = [[]] * c + [[(k - s) * _geometric_sum(s, c) for s in range(k + 1)]]
-    for i in range(c - 1, 0, -1):
-        # t * g for t = 0..k-s, paired with best[i + 1][s + t]
-        best[i] = [max(map(operator.add, range(0, (k - s) * g + 1, g), best[i + 1][s:]))
-                   for s, g in enumerate(_geometric_sum(s, i) for s in range(k + 1))]
-    parts, s = [], 0
-    for i in range(1, c):
-        g = _geometric_sum(s, i)
-        parts.append(next(t for t in range(k - s + 1) if t * g + best[i + 1][s + t] == best[i][s]))
-        s += parts[-1]
-    parts.append(k - s)
-    if composition_value(parts) != best[1][0]:
-        raise ArithmeticError(f"witness {parts} does not score f_upper({k}, {c}) = {best[1][0]}")
-    return best[1][0], tuple(parts)
+    rows, preds = composition_maxima(k, c)
+    value, parts = rows[-1][k], _witness(preds, k, c)
+    if composition_value(parts) != value:
+        raise ArithmeticError(f"witness {list(parts)} does not score f_upper({k}, {c}) = {value}")
+    return value, parts
 
 
 def f_upper(k: int, c: int) -> int:
@@ -102,18 +137,11 @@ def best_composition(k: int, c: int) -> tuple[int, ...]:
 
 
 _TABLE1 = {
-    # c -> residue -> polynomial coefficients (constant first), exact rationals
-    3: {
-        0: (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(4, 27)),
-        1: (Fraction(-10, 27), Fraction(8, 9), Fraction(1, 3), Fraction(4, 27)),
-        2: (Fraction(-8, 27), Fraction(8, 9), Fraction(1, 3), Fraction(4, 27)),
-    },
-    4: {
-        0: (Fraction(0), Fraction(1), Fraction(3, 8), Fraction(13, 64), Fraction(27, 256)),
-        1: (Fraction(-117, 256), Fraction(53, 64), Fraction(41, 128), Fraction(13, 64), Fraction(27, 256)),
-        2: (Fraction(-11, 16), Fraction(7, 16), Fraction(1, 8), Fraction(13, 64), Fraction(27, 256)),
-        3: (Fraction(-77, 256), Fraction(57, 64), Fraction(37, 128), Fraction(13, 64), Fraction(27, 256)),
-    },
+    # c -> (denominator, numerators of the polynomial's coefficients per
+    # residue k % c, constant first)
+    3: (27, ((0, 27, 9, 4), (-10, 24, 9, 4), (-8, 24, 9, 4))),
+    4: (256, ((0, 256, 96, 52, 27), (-117, 212, 82, 52, 27), (-176, 112, 32, 52, 27),
+              (-77, 228, 74, 52, 27))),
 }
 
 # the two k values where the generic degree-4 polynomial does not apply
@@ -132,11 +160,12 @@ def f_closed(k: int, c: int) -> int:
         return class2_exponent(k)
     if (c, k) in _TABLE1_EXCEPTIONS:
         return _TABLE1_EXCEPTIONS[(c, k)]
-    coeffs = _TABLE1[c][k % c]
-    value = sum(coef * k**power for power, coef in enumerate(coeffs))
-    if value.denominator != 1:
-        raise ArithmeticError(f"table formula mismatch at k={k}, c={c}: {value}")
-    return int(value)
+    denominator, numerators = _TABLE1[c]
+    numerator = sum(a * k**power for power, a in enumerate(numerators[k % c]))
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"table formula mismatch at k={k}, c={c}: {numerator}/{denominator}")
+    return value
 
 
 def elementary_bound(k: int, c: int) -> int:

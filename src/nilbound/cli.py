@@ -184,7 +184,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         kmax = args.kmax
         if kmax < 1:
             raise _UsageError(f"--kmax must be positive, got {kmax}")
-        # the sum of k*k*c over k <= kmax, c <= 4
+        # the sum of k*k*c over k <= kmax, c <= 4: the admitted set of the
+        # per-cell dynamic program of old, not the cost of the one forward pass
         cells = 10 * kmax * (kmax + 1) * (2 * kmax + 1) // 6
         if cells > bounds.DP_CELL_LIMIT:
             raise GuardExceeded(f"table --table1 --kmax {kmax} needs sum of k*k*c = {cells} "
@@ -193,8 +194,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         header = f"{'k':>3} | " + " ".join(f"{f'c={c}':>8}" for c in range(1, 5)) + " | closed-form"
         print(header)
         print("-" * len(header))
+        rows, _ = bounds.composition_maxima(kmax, 4)
         for k in range(1, kmax + 1):
-            values = [bounds.f_upper(k, c) for c in range(1, 5)]
+            values = [row[k] for row in rows]
             closed = [bounds.f_closed(k, c) for c in range(1, 5)]
             mark = "ok" if values == closed else "MISMATCH"
             print(f"{k:>3} | " + " ".join(f"{v:>8}" for v in values) + f" | {mark}")

@@ -520,6 +520,7 @@ class PermGroup:
         self._chain: list[_Level] | None = None
         self._normal: Sequence[_Pair] = ()  # set with _chain
         self._engine = _close  # grows every chain in self; _levels may pick the worklist
+        self._transitive: bool | None = None  # set by is_transitive
         self._lock = threading.Lock()
 
     @property
@@ -600,8 +601,11 @@ class PermGroup:
         return sorted(seen)
 
     def is_transitive(self) -> bool:
-        """Whether one orbit covers every point; the empty set has no orbit."""
-        return self._degree > 0 and len(self.orbit(0)) == self._degree
+        """Whether one orbit covers every point (kept, as the generators never
+        change); the empty set has no orbit."""
+        if self._transitive is None:
+            self._transitive = self._degree > 0 and len(self.orbit(0)) == self._degree
+        return self._transitive
 
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order() == self._degree

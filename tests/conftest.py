@@ -8,6 +8,7 @@ results can be checked against an implementation with nothing in common.
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 
@@ -148,6 +149,31 @@ def brute_force_maximum(k: int, c: int) -> tuple[int, tuple[int, ...]]:
         if value > best:
             best, witness = value, parts
     return best, witness
+
+
+def suffix_dp_maximum(k: int, c: int) -> tuple[int, tuple[int, ...]]:
+    """The composition maximum and its lexicographically least witness, by a
+    backward suffix dynamic program in O(k*k*c) (oracle for the forward pass,
+    sharing none of its envelope or tie-break): best[i][s] is the best score
+    of parts i..c after the prefix sum s, the maximum over the next part t of
+    t * (1 + s + ... + s^(i-1)) plus best[i + 1][s + t], and the smallest
+    such t, part by part, gives the witness."""
+
+    def geometric(s: int, i: int) -> int:  # 1 + s + ... + s^(i-1)
+        return i if s == 1 else (s**i - 1) // (s - 1)
+
+    best = [[]] * c + [[(k - s) * geometric(s, c) for s in range(k + 1)]]
+    for i in range(c - 1, 0, -1):
+        # t * g for t = 0..k-s, paired with best[i + 1][s + t]
+        best[i] = [max(map(operator.add, range(0, (k - s) * g + 1, g), best[i + 1][s:]))
+                   for s, g in enumerate(geometric(s, i) for s in range(k + 1))]
+    parts, s = [], 0
+    for i in range(1, c):
+        g = geometric(s, i)
+        parts.append(next(t for t in range(k - s + 1) if t * g + best[i + 1][s + t] == best[i][s]))
+        s += parts[-1]
+    parts.append(k - s)
+    return best[1][0], tuple(parts)
 
 
 def cyclic(n: int) -> PermGroup:

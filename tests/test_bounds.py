@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilbound import bounds
 from nilbound.bounds import (
     asymptotic_coefficient,
     best_composition,
@@ -15,6 +16,7 @@ from nilbound.bounds import (
     bound_report,
     class2_exponent,
     combine_multiplicative,
+    composition_maxima,
     composition_value,
     elementary_bound,
     f_closed,
@@ -24,7 +26,7 @@ from nilbound.bounds import (
     prime_power,
 )
 
-from conftest import brute_force_maximum, compositions
+from conftest import brute_force_maximum, compositions, suffix_dp_maximum
 
 
 class TestCompositionValue:
@@ -90,7 +92,81 @@ class TestFUpper:
                 assert best_composition(k, c) == witness, (k, c)
 
 
+# one pass to (KMAX, CMAX), checked cell by cell against the suffix DP
+KMAX, CMAX = 60, 12
+
+
+@pytest.fixture(scope="module")
+def pass_to_max():
+    return composition_maxima(KMAX, CMAX)
+
+
+class TestForwardPass:
+    def test_one_pass_matches_the_suffix_dp_at_every_cell(self, pass_to_max):
+        rows, preds = pass_to_max
+        for k in range(1, KMAX + 1):
+            for c in range(1, CMAX + 1):
+                assert (rows[c - 1][k], bounds._witness(preds, k, c)) == suffix_dp_maximum(k, c), (k, c)
+
+    @pytest.mark.parametrize("kmax,cmax", [(1, 1), (1, 12), (60, 1), (2, 3), (17, 5), (41, 12), (59, 11)])
+    def test_smaller_passes_read_the_same_cells(self, pass_to_max, kmax, cmax):
+        # neither kmax nor cmax enters the recurrence or the tie-break
+        rows, preds = composition_maxima(kmax, cmax)
+        big_rows, big_preds = pass_to_max
+        assert rows == [row[: kmax + 1] for row in big_rows[:cmax]]
+        for k in range(1, kmax + 1):
+            for c in range(1, cmax + 1):
+                assert bounds._witness(preds, k, c) == bounds._witness(big_preds, k, c), (k, c)
+
+    @pytest.mark.parametrize("k,c", [(1000, 4), (500, 16), (100, 400)])
+    def test_large_admitted_cells(self, k, c):
+        assert bounds._maximize.__wrapped__(k, c) == suffix_dp_maximum(k, c)
+
+    def test_a_witness_that_misses_its_score_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(bounds, "composition_value", lambda parts: -1)
+        with pytest.raises(ArithmeticError, match=r"witness \[5, 5\] does not score f_upper\(10, 2\) = 35"):
+            bounds._maximize.__wrapped__(10, 2)
+
+
+# the closed forms of Table 1 as exact rationals: c -> residue k % c ->
+# coefficients, constant first
+TABLE1_FRACTIONS = {
+    3: {
+        0: (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(4, 27)),
+        1: (Fraction(-10, 27), Fraction(8, 9), Fraction(1, 3), Fraction(4, 27)),
+        2: (Fraction(-8, 27), Fraction(8, 9), Fraction(1, 3), Fraction(4, 27)),
+    },
+    4: {
+        0: (Fraction(0), Fraction(1), Fraction(3, 8), Fraction(13, 64), Fraction(27, 256)),
+        1: (Fraction(-117, 256), Fraction(53, 64), Fraction(41, 128), Fraction(13, 64), Fraction(27, 256)),
+        2: (Fraction(-11, 16), Fraction(7, 16), Fraction(1, 8), Fraction(13, 64), Fraction(27, 256)),
+        3: (Fraction(-77, 256), Fraction(57, 64), Fraction(37, 128), Fraction(13, 64), Fraction(27, 256)),
+    },
+}
+
+
 class TestClosedForms:
+    def test_integer_numerators_are_the_rational_coefficients(self):
+        for c, residues in TABLE1_FRACTIONS.items():
+            denominator, numerators = bounds._TABLE1[c]
+            assert len(numerators) == len(residues) == c
+            for r, coeffs in residues.items():
+                assert tuple(Fraction(a, denominator) for a in numerators[r]) == coeffs, (c, r)
+
+    def test_agrees_with_the_rational_polynomials(self):
+        for c, residues in TABLE1_FRACTIONS.items():
+            for k in range(1, 2000):
+                if (c, k) in bounds._TABLE1_EXCEPTIONS:
+                    continue
+                value = sum(coef * k**power for power, coef in enumerate(residues[k % c]))
+                assert value.denominator == 1 and f_closed(k, c) == value, (k, c)
+
+    def test_a_fractional_value_is_an_arithmetic_error(self, monkeypatch):
+        monkeypatch.setitem(bounds._TABLE1, 3, (27, ((1, 27, 9, 4),) * 3))
+        with pytest.raises(ArithmeticError, match="table formula mismatch at k=3, c=3: 271/27"):
+            f_closed(3, 3)
+
+
     def test_frozen_values(self):
         assert f_closed(4, 2) == 8
         assert f_closed(2, 4) == 5

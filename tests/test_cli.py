@@ -1,6 +1,7 @@
 """CLI surface: verbs, exit codes, JSON determinism, round trips."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilbound import search
+from nilbound import bounds, search
 from nilbound.cli import (
     EXIT_GUARD,
     EXIT_INVARIANT,
@@ -19,7 +20,10 @@ from nilbound.cli import (
     EXIT_USAGE,
     main,
 )
-from nilbound.constructions import _KINDS
+from nilbound.constructions import _KINDS, blueprint_from_json, realize
+from nilbound.perm import PermGroup
+
+from conftest import WITNESS_BLUEPRINTS
 
 _INTS = st.integers(0, 5) | st.integers(-1, 9) | st.integers()
 _PRIMES = st.sampled_from([2, 3, 5]) | _INTS
@@ -262,6 +266,24 @@ class TestConstruct:
 
 
 class TestAnalyze:
+    def test_one_orbit_search_per_analyze(self, capsys, monkeypatch):
+        # is_transitive keeps its answer, so analyze's three readers of it
+        # (the transitive field, is_regular and center) search orbits once
+        groups = [json.dumps(realize(blueprint_from_json(bp)).to_json()) for bp in WITNESS_BLUEPRINTS]
+        calls = []
+        real_orbit = PermGroup.orbit
+
+        def orbit(self, point):
+            calls.append(point)
+            return real_orbit(self, point)
+
+        monkeypatch.setattr(PermGroup, "orbit", orbit)
+        for group in groups:
+            calls.clear()
+            code, out, _ = run(capsys, "analyze", "--group", group)
+            assert code == EXIT_OK and json.loads(out)["transitive"] is True
+            assert calls == [0]
+
     def test_dihedral(self, capsys):
         group = '{"degree":4,"generators":[[1,2,3,0],[2,1,0,3]]}'
         code, out, _ = run(capsys, "analyze", "--group", group)
@@ -438,6 +460,29 @@ class TestTable:
         assert (code, out) == (EXIT_GUARD, "")
         assert err == ("refused: table --table1 --kmax 106 needs sum of k*k*c = 4026410 "
                        "DP cells, over the limit 4000000\n")
+
+    def test_table1_is_one_forward_pass(self, capsys, monkeypatch):
+        calls = []
+        real_pass = bounds.composition_maxima
+
+        def counted(kmax, cmax):
+            calls.append((kmax, cmax))
+            return real_pass(kmax, cmax)
+
+        monkeypatch.setattr(bounds, "composition_maxima", counted)
+        bounds._maximize.cache_clear()  # no cell f_upper cached may hide a per-cell pass
+        assert run(capsys, "table", "--table1", "--kmax", "40")[0] == EXIT_OK
+        assert calls == [(40, 4)]
+
+    def test_table1_outputs_are_pinned(self, capsys):
+        # stdout, stderr and exit code of every admitted --kmax and of the
+        # first refused one, as the per-cell dynamic program printed them
+        digest = hashlib.sha256()
+        for kmax in range(1, 107):
+            code, out, err = run(capsys, "table", "--table1", "--kmax", str(kmax))
+            digest.update(f"{kmax} {code}\n{out}{err}".encode())
+        assert code == EXIT_GUARD
+        assert digest.hexdigest() == "5f1612c2edfe1416226a7f2675ee81c49d416c68ed2095c66dfd28a47cd851da"
 
     @pytest.mark.parametrize("kmax", [0, -3])
     def test_table1_nonpositive_kmax_is_a_usage_error(self, capsys, kmax):
