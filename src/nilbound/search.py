@@ -9,15 +9,17 @@ normalizer of H with g^p in H, and every subgroup of order p^(i+1) arises
 this way from a maximal subgroup.  As |K:H| = p is prime, every g in K - H
 gives the same K, so each overgroup K of H is built once, from its least g.
 
-The search works over byte tables of the tower's sorted element list and
-keeps each subgroup, from the stream to the witnesses, as a byte mask.
-Both dedupe modes run one stream: it extends one subgroup per conjugacy
-class and expands each new class into its orbit under conjugation by the
-generators; set mode yields every member of the orbits, conjugacy mode one
-representative each.  Each subgroup K carries at most log_p |K|
-generators; the normality test and the conjugacy orbits run on them, and
-the nilpotency class is the length of K's upper central series, each term
-screened on them.  audit_row re-analyzes the reported witnesses through the
+The search works over byte tables of the tower's element list, built from
+perm's engine elements with no Permutation arithmetic, and keeps each
+subgroup, from the stream to the witnesses, as a byte mask.  Both dedupe
+modes run one stream: it extends one subgroup per conjugacy class and
+expands each new class into its orbit under conjugation by the generators,
+the orbit's members keyed by their mask bytes; set mode yields every member
+of the orbits, conjugacy mode one representative each.  Each subgroup K
+carries at most log_p |K| generators as a byte string of element indices;
+the normality test and the conjugacy orbits run on them, and the nilpotency
+class is the length of K's upper central series, each term screened on
+them.  audit_row re-analyzes the reported witnesses through the
 permutation-group engine, whose class comes from the lower central series,
 so the two arithmetic paths and the two series check each other.  A stream
 yields at most max_count subgroups, or DEFAULT_BUDGET of them when the
@@ -26,13 +28,15 @@ caller passes none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from . import bounds
 from .constructions import iterated_wreath_sylow, require_prime
-from .perm import GuardExceeded, PermGroup, lower_central_series
+from .perm import GuardExceeded, PermGroup, _pad, lower_central_series
 
 DEFAULT_BUDGET = 500_000
 
@@ -45,14 +49,16 @@ CLASS_BOUND_LIMIT = 1000
 
 class _Tables:
     """Multiplication, inverse and conjugation tables over the group's own
-    elements sorted by images, as byte rows: mult[i][j] indexes
+    elements sorted by images, as byte rows built from perm's engine
+    elements, which index numbers: mult[i][j] indexes
     elements[i] * elements[j], inv[i] is the column of row i holding the
     identity, conj[g][x] indexes g^-1 x g and conj_of[x] is column x of
     conj; column g of a table is a stride-n slice of its joined rows.  The
     rows grow along the Cayley graph: when elements[i] = s * elements[k]
     for a generator s, row i is row k read through left, the index map of
-    x -> s * x.  stab masks the elements fixing point 0, and closures
-    memoizes the witness generators' closures <H, g> by (H, g).
+    x -> s * x, each entry one engine product s.translate(x + pad).  stab
+    masks the elements fixing point 0, and closures memoizes the witness
+    generators' closures <H, g> by (H, g).
 
     A subgroup is a byte mask: an n-byte 0/1 string read as a big-endian
     int, so its least element is its top set byte and, of one order, the
@@ -61,13 +67,15 @@ class _Tables:
     the g with g^-1 h g in H, and row s^-1 of conj the conjugate of H by s."""
 
     def __init__(self, group: PermGroup):
-        self.elements = elements = sorted(group.elements())
-        self.index = index = {g: i for i, g in enumerate(elements)}
-        self.identity = identity = index[group.identity]
+        self.elements = elements = sorted(group.elements(), key=attrgetter("_element"))
+        keys = [g._element for g in elements]
+        self.index = index = {x: i for i, x in enumerate(keys)}
+        self.identity = identity = index[group.identity._element]
         self.n = n = len(elements)
         self.pad = pad = bytes(256 - n)
         self.trivial = 1 << 8 * (n - 1 - identity)
-        lefts = [bytes(index[s * x] for x in elements) + pad for s in group.generators]
+        gens, image_pad = [g._element for g in group.generators], _pad(group.degree)
+        lefts = [bytes(index[s.translate(x + image_pad)] for x in keys) + pad for s in gens]
         mult: list = [bytes(range(n)) if i == identity else None for i in range(n)]
         reached = [identity]
         for k in reached:
@@ -84,9 +92,9 @@ class _Tables:
         flat = b"".join(conj)
         self.conj_of = [flat[x::n] for x in range(n)]
         self.degree = group.degree
-        self.gen_indices = sorted(index[g] for g in group.generators)
+        self.gen_indices = sorted(index[s] for s in gens)
         # degree 0 has no point 0: stab is empty and no subgroup is transitive
-        self.stab = int.from_bytes(bytes(g(0) == 0 for g in elements), "big") if group.degree else 0
+        self.stab = int.from_bytes(bytes(x[0] == 0 for x in keys), "big") if group.degree else 0
         self.closures: dict[tuple[int, int], int] = {}
 
     def table(self, mask: int) -> bytes:
@@ -97,7 +105,7 @@ class _Tables:
         """By orbit-stabilizer: K is transitive iff |K| = degree * |K_0|."""
         return K.bit_count() == self.degree * (K & self.stab).bit_count()
 
-    def subgroup_class(self, K: int, gens: list[int]) -> int:
+    def subgroup_class(self, K: int, gens: Sequence[int]) -> int:
         """Nilpotency class of subgroup K = <gens> as the length of its upper
         central series: Z_(i+1) holds the z in K whose commutators [y, z]
         with every generator y lie in Z_i, that is z^-1 y z in y*Z_i.
@@ -120,24 +128,28 @@ class _Tables:
         element of K outside the subgroup H generated so far, until H is K.
         Each step grows H Dimino-style as a union of left cosets x*H: s*r
         starts a new coset whenever it falls outside the union, for a coset
-        representative r and a generator s.  The greedy set of each H is a
-        prefix of K's, so a step is looked up in closures first."""
-        mult, inv, closures = self.mult, self.inv, self.closures
+        representative r and a generator s, read off the union's mask
+        bytes.  The greedy set of each H is a prefix of K's, so a step is
+        looked up in closures first."""
+        mult, inv, closures, n = self.mult, self.inv, self.closures, self.n
         gens: list[int] = []
         H = self.trivial
         while H != K:
-            g = (8 * self.n - (K & ~H).bit_length()) >> 3
+            g = (8 * n - (K ^ H).bit_length()) >> 3  # H lies in K: K ^ H is K - H
             gens.append(g)
-            if (H, g) not in closures:
+            grown = closures.get((H, g))
+            if grown is None:
                 grown, table, reps = H, self.table(H), [self.identity]
+                member = table
                 for r in reps:
                     for s in gens:
                         x = mult[s][r]
-                        if not grown >> 8 * (self.n - 1 - x) & 1:
+                        if not member[x]:
                             grown |= int.from_bytes(mult[inv[x]].translate(table), "big")
+                            member = grown.to_bytes(n, "big")
                             reps.append(x)
                 closures[H, g] = grown
-            H = closures[H, g]
+            H = grown
         return gens
 
     def to_perm_group(self, K: int) -> PermGroup:
@@ -167,18 +179,19 @@ def _check_budget(visited: int, max_count: int) -> None:
 
 def _iter_subgroup_sets(
     tables: _Tables, p: int, dedupe: str, max_count: int
-) -> Iterator[tuple[int, list[int]]]:
+) -> Iterator[tuple[int, bytes]]:
     """Yield subgroups K of the table group as masks, each with at most
-    log_p |K| generators, smallest order first and, within an order, in
-    descending mask order.  Only one representative per conjugacy class,
-    the one with the least sorted elements, is extended: extensions of
-    conjugate subgroups are conjugate.  Each overgroup K of H is built
-    once, from the least g in K - H, keeping H's generators plus g, and a
-    new K is expanded into its class by a search under conjugation by the
-    noncentral generators, each member's generators the conjugates of its
-    parent's.  Set mode yields every member of every class, conjugacy mode
-    the representatives.  Every subgroup yielded, the trivial one
-    included, counts against max_count, one at a time."""
+    log_p |K| generators as a byte string of element indices, smallest
+    order first and, within an order, in descending mask order.  Only one
+    representative per conjugacy class, the one with the least sorted
+    elements, is extended: extensions of conjugate subgroups are conjugate.
+    Each overgroup K of H is built once, from the least g in K - H, keeping
+    H's generators plus g, and a new K is expanded into its class by a
+    search under conjugation by the noncentral generators, keyed by the
+    members' n-byte masks; a member's generators are its parent's read
+    through the conjugation row.  Set mode yields every member of every
+    class, conjugacy mode the representatives.  Every subgroup yielded, the
+    trivial one included, counts against max_count, one at a time."""
     mult, conj, inv, conj_of, pad = tables.mult, tables.conj, tables.inv, tables.conj_of, tables.pad
     n = tables.n
     pth = list(range(n))  # pth[g] = g^p
@@ -187,20 +200,20 @@ def _iter_subgroup_sets(
     pth = bytes(pth)
     # conjugation by a central generator is the identity map
     noncentral = [s for s in tables.gen_indices if conj[s] != bytes(range(n))]
-    conjugators = [(conj[inv[s]], conj[s]) for s in noncentral]
+    conjugators = [(conj[inv[s]], conj[s] + pad) for s in noncentral]
     yield_members = dedupe == "set"
 
     yielded = 1
     _check_budget(yielded, max_count)
-    level: list[tuple[int, list[int]]] = [(tables.trivial, [])]
-    yield tables.trivial, []
+    level: list[tuple[int, bytes]] = [(tables.trivial, b"")]
+    yield tables.trivial, b""
 
     while level:
-        next_level: list[tuple[int, list[int]]] = []
-        others: list[tuple[int, list[int]]] = []  # set mode: members but the rep
+        next_level: list[tuple[int, bytes]] = []
+        others: list[tuple[int, bytes]] = []  # set mode: members but the rep
         next_seen: set[int] = set()
         for H, gens in level:
-            table = tables.table(H)
+            table = H.to_bytes(n, "big") + pad
             # <H, g> has order p*|H| when g^p is in H and g normalizes H
             todo = ~H  # negative until ANDed with the g^p in H
             for row in (pth, *map(conj_of.__getitem__, gens)):
@@ -215,24 +228,26 @@ def _iter_subgroup_sets(
                 todo &= ~K
                 if K in next_seen:
                     continue
-                orbit = {K: [*gens, g]}
+                key = K.to_bytes(n, "big")
+                orbit = {key: (K, gens + bytes((g,)))}
                 # with central generators only, every class is one subgroup
-                frontier = [K] if conjugators else []
+                frontier = [key] if conjugators else []
                 while frontier:
                     current = frontier.pop()
-                    mask = tables.table(current)
+                    mask, parent_gens = current + pad, orbit[current][1]
                     for row_inverse, row in conjugators:
-                        image = int.from_bytes(row_inverse.translate(mask), "big")
+                        image = row_inverse.translate(mask)
                         if image not in orbit:
-                            orbit[image] = [row[x] for x in orbit[current]]
+                            member = int.from_bytes(image, "big")
+                            orbit[image] = member, parent_gens.translate(row)
                             frontier.append(image)
-                            if image & H == H:  # each g in image - H builds image
-                                todo &= ~image
-                next_seen.update(orbit)
-                rep = max(orbit)
-                next_level.append((rep, orbit.pop(rep)))
+                            if member & H == H:  # each g in member - H builds it
+                                todo &= ~member
+                next_seen.update(member for member, _ in orbit.values())
+                # of equal-length byte keys the greatest is the greatest int
+                next_level.append(orbit.pop(max(orbit)))
                 if yield_members:
-                    others.extend(orbit.items())
+                    others.extend(orbit.values())
                 # one count per subgroup yielded, so a refusal names max_count + 1
                 for _ in range(1 + len(orbit) if yield_members else 1):
                     yielded += 1
@@ -266,7 +281,9 @@ def enumerate_subgroups(
     """Stream every subgroup of the p-group S exactly once (set mode) or one
     representative per S-conjugacy class (conjugacy mode).  The arguments
     and the order guard are checked at call time."""
-    order = S.order()
+    # <g> has the lcm of g's cycle lengths for its order, which needs no chain
+    moving = {g for g in S.generators if not g.is_identity()}
+    order = math.lcm(*map(len, moving.pop().cycles())) if len(moving) == 1 else S.order()
     p, _ = bounds.prime_power(order) if order > 1 else (2, 0)
     max_order = 128 if p == 2 else 81 if p == 3 else p
     if order > max_order:

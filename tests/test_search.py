@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import operator
+import tracemalloc
 
 import pytest
 
@@ -163,6 +164,24 @@ class TestEnumerateSubgroups:
         least = min(itertools.accumulate(itertools.repeat(g, S.order() - 1), operator.mul))
         assert [H.generators for H in enumerate_subgroups(S)] == [(), (least,)]
 
+    def test_prime_order_builds_no_chain(self):
+        # a group with one distinct non-identity generator has the lcm of its
+        # cycle lengths for its order; the stabilizer chain of C_1009 alone
+        # takes ~16 MiB
+        C = cyclic(1009)
+        g = C.generators[0]
+        tracemalloc.start()
+        try:
+            stream = [H.generators for H in enumerate_subgroups(C)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream == [(), (g,)]
+        assert peak < 2**20
+        # a repeated generator and the identity leave one distinct generator
+        S = PermGroup(1009, [g, Permutation.identity(1009), g])
+        assert [H.generators for H in enumerate_subgroups(S)] == [(), (g,)]
+
     def test_order_guard(self):
         with pytest.raises(GuardExceeded):
             list(enumerate_subgroups(iterated_wreath_sylow(2, 4)))
@@ -196,6 +215,16 @@ def _with_idle_generators():
     return PermGroup(4, [Permutation.identity(4), a, b, a])
 
 
+def _lift(g, degree):
+    """g moved onto the last g.degree points of degree points."""
+    shift = degree - g.degree
+    return Permutation([*range(shift), *(shift + x for x in g.images)])
+
+
+def _lifted(group, degree):
+    return PermGroup(degree, [_lift(g, degree) for g in group.generators])
+
+
 @pytest.mark.parametrize(
     "group",
     [
@@ -207,6 +236,8 @@ def _with_idle_generators():
         pytest.param(lambda: PermGroup(1), id="trivial-degree-1"),
         pytest.param(sym3, id="S3"),
         pytest.param(lambda: dihedral_times_abelian(6, 5), id="dihedral-times-abelian-6-5"),
+        # past degree 256 the tables sort, multiply and index _Wide elements
+        pytest.param(lambda: _lifted(iterated_wreath_sylow(2, 2), 260), id="2-2-on-degree-260"),
     ],
 )
 def test_tables_match_permutation_products(group):
@@ -220,6 +251,37 @@ def test_tables_match_permutation_products(group):
             assert tables.elements[tables.mult[i][j]] == a * b
             assert tables.elements[tables.conj[i][j]] == a.inverse() * b * a
             assert tables.conj_of[j][i] == tables.conj[i][j]
+
+
+@pytest.mark.parametrize("dedupe", ["set", "conjugacy"])
+def test_stream_past_degree_256_is_the_shifted_stream(dedupe):
+    # tower(2,3) on points 292-299 of 300 sorts its elements as on 0-7, so
+    # its stream is the degree-8 stream with every generator lifted
+    tower = iterated_wreath_sylow(2, 3)
+    expected = [[_lift(g, 300) for g in H.generators] for H in enumerate_subgroups(tower, dedupe)]
+    lifted = [list(H.generators) for H in enumerate_subgroups(_lifted(tower, 300), dedupe)]
+    assert lifted == expected
+    assert len(lifted) == STREAM_COUNTS[2, 3][dedupe == "conjugacy"]
+
+
+def test_search_runs_without_permutation_arithmetic(monkeypatch):
+    # the tables, the stream and the witnesses work on engine elements and
+    # byte strings: no Permutation product or comparison from the tower on
+    tower = iterated_wreath_sylow(2, 3)
+    streams = {
+        mode: [H.dumps() for H in enumerate_subgroups(tower, mode)] for mode in ("set", "conjugacy")
+    }
+    row = fnil_exact(2, 3, 8).to_json()
+
+    def refuse(*args):
+        raise AssertionError("Permutation arithmetic in the search")
+
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
+    monkeypatch.setattr(Permutation, "__lt__", refuse)
+    _Tables(tower)
+    for mode, expected in streams.items():
+        assert [H.dumps() for H in enumerate_subgroups(tower, mode)] == expected
+    assert fnil_exact(2, 3, 8).to_json() == row
 
 
 def as_mask(tables, indices):
@@ -240,7 +302,7 @@ def test_carried_generators_and_class(p, k):
             assert p ** len(gens) <= K.bit_count()
             perms = [tables.elements[g] for g in gens]
             closure = naive_closure(tables.degree, perms)
-            assert as_mask(tables, (tables.index[Permutation(x)] for x in closure)) == K
+            assert as_mask(tables, (tables.index[Permutation(x)._element] for x in closure)) == K
             assert tables.subgroup_class(K, gens) == nilpotency_class(tables.to_perm_group(K))
         assert count == budget
 
@@ -344,7 +406,7 @@ def test_class_needs_the_normal_closure():
     G = PermGroup(16, [a, b])
     tables = _Tables(G)
     whole = as_mask(tables, range(len(tables.elements)))
-    gens = [tables.index[a], tables.index[b]]
+    gens = [tables.index[a._element], tables.index[b._element]]
     assert (G.order(), nilpotency_class(G)) == (32, 3)
     assert tables.subgroup_class(whole, gens) == 3
 
