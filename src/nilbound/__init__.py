@@ -31,16 +31,13 @@ from .perm import (
     CentralSeries,
     GroupError,
     GuardExceeded,
-    NotNilpotentError,
     PermGroup,
     Permutation,
     center,
     commutator,
     lower_central_series,
-    nilpotency_class,
 )
 from .search import (
-    AuditReport,
     SearchRow,
     audit_row,
     enumerate_subgroups,
@@ -48,13 +45,11 @@ from .search import (
 )
 
 __all__ = [
-    "AuditReport",
     "BoundReport",
     "CentralSeries",
     "GroupBlueprint",
     "GroupError",
     "GuardExceeded",
-    "NotNilpotentError",
     "PermGroup",
     "Permutation",
     "SearchRow",
@@ -81,7 +76,6 @@ __all__ = [
     "lower_central_series",
     "make_blueprint",
     "monomial_count",
-    "nilpotency_class",
     "product_action",
     "realize",
     "wreath_polynomial_group",

@@ -160,21 +160,21 @@ def cmd_search(args: argparse.Namespace) -> int:
     row = search.fnil_exact(
         args.p, args.k, args.cmax, dedupe=args.dedupe, max_count=args.budget
     )
-    report = search.audit_row(row) if args.audit else None
+    audit = search.audit_row(row) if args.audit else None
     if args.json:
         data = row.to_json()
-        if report is not None:
-            data["audit"] = report.to_json()
+        if audit is not None:
+            data["audit"] = audit
         _emit_json(data)
     else:
         print(f"degree {args.p}^{args.k}: max log_{args.p} order per class bound")
         for c, e in enumerate(row.exponents, start=1):
             print(f"  class <= {c:2d} : {e}")
-        if report is not None:
-            for check in report.checks:
-                status = "ok" if check.passed else "FAIL"
-                print(f"audit {status:4s} {check.name}: {check.detail}")
-    if report is not None and not report.ok:
+        if audit is not None:
+            for check in audit["checks"]:
+                status = "ok" if check["passed"] else "FAIL"
+                print(f"audit {status:4s} {check['name']}: {check['detail']}")
+    if audit is not None and not audit["ok"]:
         return EXIT_INVARIANT
     return EXIT_OK
 

@@ -53,10 +53,6 @@ class GroupError(Exception):
     """A group-theoretic precondition failed."""
 
 
-class NotNilpotentError(GroupError):
-    """Raised when an operation requires a nilpotent group."""
-
-
 class GuardExceeded(GroupError):
     """A size guard or search budget was exceeded."""
 
@@ -113,6 +109,8 @@ class Permutation:
         return len(self._element)
 
     def __call__(self, point: int) -> int:
+        if type(point) is not int:  # bool is not a point
+            raise ValueError(f"point {point!r} is not an integer")
         if not 0 <= point < len(self._element):
             raise ValueError(f"point {point} out of range for degree {len(self._element)}")
         return self._element[point]
@@ -691,7 +689,8 @@ def _group_on(parent: PermGroup, pairs: list[_Pair], levels: list[_Level]) -> Pe
 class CentralSeries:
     """The descending commutator series G = term[0] >= term[1] >= ...
 
-    nilpotency_class is None when the series stalls above the trivial group.
+    nilpotency_class is the least c with term[c] trivial, 0 for the trivial
+    group, and None when the series stalls above the trivial group.
     """
 
     terms: tuple[PermGroup, ...]
@@ -739,15 +738,6 @@ def lower_central_series(G: PermGroup) -> CentralSeries:
             return CentralSeries(tuple(terms), None)
         terms.append(nxt)
     return CentralSeries(tuple(terms), len(terms) - 1)
-
-
-def nilpotency_class(G: PermGroup) -> int:
-    """Least c with the (c+1)-st commutator series term trivial; 0 for the
-    trivial group."""
-    series = lower_central_series(G)
-    if series.nilpotency_class is None:
-        raise NotNilpotentError("not nilpotent")
-    return series.nilpotency_class
 
 
 def _central_from_point_images(G: PermGroup) -> list[_Element]:

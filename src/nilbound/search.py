@@ -300,11 +300,11 @@ def enumerate_subgroups(
 @dataclass(frozen=True)
 class SearchRow:
     """Per-class maxima of log_p order over transitive subgroups of the
-    degree-p^k wreath tower."""
+    degree-p^k wreath tower: exponents[c - 1] and witnesses[c - 1] are for
+    class at most c, so the row's class bound is len(exponents)."""
 
     p: int
     k: int
-    c_max: int
     exponents: tuple[int, ...]
     witnesses: tuple[PermGroup, ...]
 
@@ -355,83 +355,41 @@ def fnil_exact(
     groups = {K: tables.to_perm_group(K) for _, K in set(best)}
     exponents = [bounds.prime_power(order)[1] for order, _ in best]
     witnesses = [groups[K] for _, K in best]
-    return SearchRow(p, k, c_max, tuple(exponents), tuple(witnesses))
+    return SearchRow(p, k, tuple(exponents), tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    checks: tuple[AuditCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
-
-def audit_row(row: SearchRow) -> AuditReport:
+def audit_row(row: SearchRow) -> dict:
     """Re-verify a search row against the bound functions and re-analyze
-    every witness from its generators.  Failures are reported, not raised."""
-    checks: list[AuditCheck] = []
-    checks.append(
-        AuditCheck(
-            "abelian-regular",
-            row.exponents[0] == row.k,
-            f"class-1 exponent {row.exponents[0]} vs degree exponent {row.k}",
-        )
-    )
-    for c in range(1, row.c_max + 1):
-        limit = bounds.f_upper(row.k, c)
-        checks.append(
-            AuditCheck(
-                f"composition-upper-bound[c={c}]",
-                row.exponents[c - 1] <= limit,
-                f"exponent {row.exponents[c - 1]} vs bound {limit}",
-            )
-        )
-    if row.c_max >= 2:
-        exact = bounds.class2_exponent(row.k)
-        checks.append(
-            AuditCheck(
-                "class2-exact",
-                row.exponents[1] == exact,
-                f"class-2 exponent {row.exponents[1]} vs exact value {exact}",
-            )
-        )
+    every witness from its generators, as the object ``search --audit
+    --json`` prints: {"ok": bool, "checks": [{"name", "passed", "detail"}]}.
+    Failures are reported, not raised."""
+    checks = []
+
+    def check(name: str, passed: bool, detail: str) -> None:
+        checks.append({"name": name, "passed": passed, "detail": detail})
+
+    e, k = row.exponents, row.k
+    check("abelian-regular", e[0] == k, f"class-1 exponent {e[0]} vs degree exponent {k}")
+    for c, e_c in enumerate(e, start=1):
+        limit = bounds.f_upper(k, c)
+        check(f"composition-upper-bound[c={c}]", e_c <= limit, f"exponent {e_c} vs bound {limit}")
+    if len(e) >= 2:
+        exact = bounds.class2_exponent(k)
+        check("class2-exact", e[1] == exact, f"class-2 exponent {e[1]} vs exact value {exact}")
     for c, witness in enumerate(row.witnesses, start=1):
         reloaded = PermGroup.from_json(witness.to_json())
         order = reloaded.order()
         cls = lower_central_series(reloaded).nilpotency_class
         good = (
-            reloaded.degree == row.p**row.k
+            reloaded.degree == row.p**k
             and reloaded.is_transitive()
-            and order == row.p ** row.exponents[c - 1]
+            and order == row.p ** e[c - 1]
             and cls is not None
             and cls <= c
         )
-        checks.append(
-            AuditCheck(
-                f"witness-valid[c={c}]",
-                good,
-                f"degree {reloaded.degree}, order {order}, "
-                + ("not nilpotent" if cls is None else f"class {cls}"),
-            )
-        )
-    return AuditReport(tuple(checks))
+        found = "not nilpotent" if cls is None else f"class {cls}"
+        check(f"witness-valid[c={c}]", good, f"degree {reloaded.degree}, order {order}, {found}")
+    return {"ok": all(entry["passed"] for entry in checks), "checks": checks}
 
 
 # reference values for the two rows past the exhaustive guard (degree 16

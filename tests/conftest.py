@@ -22,7 +22,7 @@ from nilbound.constructions import (
     product_action,
     wreath_polynomial_group,
 )
-from nilbound.perm import PermGroup, Permutation
+from nilbound.perm import PermGroup, Permutation, lower_central_series
 
 NAIVE_CLOSURE_LIMIT = 10_000
 
@@ -174,6 +174,12 @@ def suffix_dp_maximum(k: int, c: int) -> tuple[int, tuple[int, ...]]:
         s += parts[-1]
     parts.append(k - s)
     return best[1][0], tuple(parts)
+
+
+def class_of(G: PermGroup) -> int | None:
+    """G's nilpotency class, read from its lower central series as the
+    package reads it; None, which equals no class, when G is not nilpotent."""
+    return lower_central_series(G).nilpotency_class
 
 
 def cyclic(n: int) -> PermGroup:

@@ -29,11 +29,10 @@ from nilbound.perm import (
     Permutation,
     center,
     lower_central_series,
-    nilpotency_class,
 )
 from nilbound.search import TABLE2_REFERENCE, fnil_exact
 
-from conftest import NAIVE_CLOSURE_LIMIT, naive_closure, stabilizer_order
+from conftest import NAIVE_CLOSURE_LIMIT, class_of, naive_closure, stabilizer_order
 
 
 def report(number, label, ok, detail=""):
@@ -110,7 +109,7 @@ def test_criterion_3_class2_witnesses():
         good = (
             G.degree == p**k
             and G.is_transitive()
-            and nilpotency_class(G) == 2
+            and class_of(G) == 2
             and G.order() == p ** class2_exponent(k)
             and Z.order() == p**m
             and all(g in Z for g in g2.generators)
@@ -143,7 +142,7 @@ def test_criterion_4_abelian_class2_family():
                     g2 = lower_central_series(G).terms[1]
                     good = (
                         G.order() == p ** class2_exponent(k)
-                        and nilpotency_class(G) == 2
+                        and class_of(G) == 2
                         and Z.order() == p**m
                         and all(g in Z for g in g2.generators)
                         and all(z in g2 for z in Z.generators)
@@ -167,7 +166,7 @@ def test_criterion_5_multiplicative_combination(search_rows):
     ok = (
         G.degree == 12
         and G.is_transitive()
-        and nilpotency_class(G) == 2
+        and class_of(G) == 2
         and G.order() == 24
         and combined == 24
     )
@@ -187,7 +186,7 @@ def test_criterion_6_wreath_polynomial_certificate():
         G.degree == 16
         and G.order() == 2**8
         and G.is_transitive()
-        and nilpotency_class(G) == 2
+        and class_of(G) == 2
         and exponent == class2_exponent(4)
         and exponent >= binomial_lower(4, 2)
     )
@@ -240,7 +239,7 @@ def test_criterion_7_upper_bound_audit(search_rows):
     checked = 0
     for p, k, G in _audit_corpus(search_rows):
         checked += 1
-        cls = nilpotency_class(G)
+        cls = class_of(G)
         exponent = log_p(G.order(), p)
         if exponent > f_upper(k, cls):
             violations.append((p, k, cls, exponent))
@@ -271,7 +270,7 @@ def test_criterion_9_regular_groups_of_prescribed_class():
     failures = []
     for k, c in [(3, 2), (4, 2), (4, 3), (5, 4)]:
         G = dihedral_times_abelian(k, c)
-        if not (G.is_regular() and G.order() == 2**k and nilpotency_class(G) == c):
+        if not (G.is_regular() and G.order() == 2**k and class_of(G) == c):
             failures.append((k, c))
     report(
         9,
@@ -319,7 +318,7 @@ def test_table2_reference_rows_dominate_realized_constructions(search_rows):
         if p != 2 or k not in (4, 5):
             continue
         checked += 1
-        cls = min(nilpotency_class(G), 16)
+        cls = min(class_of(G), 16)
         exponent = log_p(G.order(), 2)
         if exponent > TABLE2_REFERENCE[k][cls - 1]:
             failures.append((k, cls, exponent))

@@ -263,6 +263,26 @@ class TestMonomialCount:
             assert monomial_count(v, i, p) == direct, (v, i, p)
 
 
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (elementary_bound, (0, 2), "k and c must be positive"),
+        (elementary_bound, (2, 0), "k and c must be positive"),
+        (class2_exponent, (0,), "k must be positive"),
+        (binomial_lower, (0, 1), "k and c must be positive"),
+        (binomial_lower, (2, -1), "k and c must be positive"),
+        (asymptotic_coefficient, (0,), "c must be positive"),
+        (monomial_count, (-1, 0, 2), "v and i must be non-negative"),
+        (monomial_count, (2, -1, 2), "v and i must be non-negative"),
+    ],
+    ids=["elementary-k", "elementary-c", "class2", "binomial-k", "binomial-c", "asymptotic",
+         "monomial-v", "monomial-i"],
+)
+def test_out_of_range_arguments_are_refused(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
 class TestCombineMultiplicative:
     def test_single_factor(self):
         assert combine_multiplicative({8: 5}) == 2**5

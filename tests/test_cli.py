@@ -1,7 +1,9 @@
 """CLI surface: verbs, exit codes, JSON determinism, round trips."""
 
 import argparse
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from nilbound.cli import (
 from nilbound.constructions import _KINDS, blueprint_from_json, realize
 from nilbound.perm import PermGroup
 
-from conftest import WITNESS_BLUEPRINTS
+from conftest import WITNESS_BLUEPRINTS, cyclic
 
 _INTS = st.integers(0, 5) | st.integers(-1, 9) | st.integers()
 _PRIMES = st.sampled_from([2, 3, 5]) | _INTS
@@ -264,6 +266,14 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert "line" in err and "column" in err
 
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch):
+        # a sylow-wreath kind that builds the cyclic group of the degree
+        kind = dataclasses.replace(_KINDS["sylow-wreath"], build=lambda p, k: cyclic(p**k))
+        monkeypatch.setitem(_KINDS, "sylow-wreath", kind)
+        blueprint = '{"kind":"sylow-wreath","params":{"p":2,"k":2}}'
+        code, out, err = run(capsys, "construct", "--blueprint", blueprint)
+        assert (code, out, err) == (EXIT_INVARIANT, "", "invariant violation: order 4 != predicted 8\n")
+
 
 class TestAnalyze:
     def test_one_orbit_search_per_analyze(self, capsys, monkeypatch):
@@ -370,6 +380,33 @@ class TestAnalyze:
             assert err == f"refused: analyze of degree {degree} is over the limit 256\n"
 
 
+class TestJsonInput:
+    """--group and --blueprint read inline JSON, a file path, or - for stdin."""
+
+    GROUP = '{"degree":4,"generators":[[1,2,3,0],[2,1,0,3]]}'
+    BLUEPRINT = '{"kind":"sylow-wreath","params":{"p":2,"k":2}}'
+
+    def test_group_from_a_file_matches_inline(self, capsys, tmp_path):
+        path = tmp_path / "group.json"
+        path.write_text(self.GROUP, encoding="utf-8")
+        inline = run(capsys, "analyze", "--group", self.GROUP)
+        assert inline[0] == EXIT_OK
+        assert run(capsys, "analyze", "--group", str(path)) == inline
+
+    def test_blueprint_from_stdin_matches_inline(self, capsys, monkeypatch):
+        inline = run(capsys, "construct", "--blueprint", self.BLUEPRINT)
+        assert inline[0] == EXIT_OK
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.BLUEPRINT))
+        assert run(capsys, "construct", "--blueprint", "-") == inline
+
+    @pytest.mark.parametrize("name", ["missing.json", ""], ids=["missing", "directory"])
+    def test_unreadable_path_is_a_usage_error(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "analyze", "--group", path)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 class TestSearch:
     def test_degree_four_row(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "2", "--k", "2", "--cmax", "4", "--json")
@@ -444,6 +481,16 @@ class TestSearch:
         data = json.loads(out)  # a single valid JSON document
         assert data["exponents"] == [3, 5, 6, 7, 7, 7, 7, 7]
         assert data["audit"]["ok"] is True
+
+    def test_failed_audit_exits_3(self, capsys, monkeypatch):
+        # the class-1 witness twice, with class-2 exponent 2 where the exact value is 3
+        witness = search.fnil_exact(2, 2, 1).witnesses[0]
+        fake = search.SearchRow(2, 2, (2, 2), (witness, witness))
+        monkeypatch.setattr(search, "fnil_exact", lambda *args, **kwargs: fake)
+        code, out, _ = run(capsys, "search", "--p", "2", "--k", "2", "--cmax", "2", "--audit")
+        assert code == EXIT_INVARIANT
+        failed = [line for line in out.splitlines() if line.startswith("audit FAIL")]
+        assert failed == ["audit FAIL class2-exact: class-2 exponent 2 vs exact value 3"]
 
 
 class TestTable:

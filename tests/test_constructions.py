@@ -30,10 +30,9 @@ from nilbound.perm import (
     Permutation,
     center,
     lower_central_series,
-    nilpotency_class,
 )
 
-from conftest import cyclic, naive_closure
+from conftest import class_of, cyclic, naive_closure
 
 
 def assert_center_is_second_term(G, expected_order):
@@ -54,7 +53,7 @@ class TestAffineUnitriangular:
         assert G.degree == p**k
         assert G.order() == p ** (k + m * (k - m))
         assert G.is_transitive()
-        assert nilpotency_class(G) == 2
+        assert class_of(G) == 2
         assert_center_is_second_term(G, p**m)
 
     def test_extremal_order(self):
@@ -68,7 +67,7 @@ class TestAffineUnitriangular:
         for m in (0, 2):
             G = affine_unitriangular(3, 2, m)
             assert G.order() == 9 and G.is_regular()
-            assert nilpotency_class(G) == 1
+            assert class_of(G) == 1
 
     def test_k_equal_one(self):
         G = affine_unitriangular(5, 1, 0)
@@ -99,7 +98,7 @@ class TestAbelianClass2:
         assert G.degree == p**k
         assert G.order() == p ** class2_exponent(k)
         assert G.is_transitive()
-        assert nilpotency_class(G) == 2
+        assert class_of(G) == 2
         assert_center_is_second_term(G, p**m)
 
     def test_mixed_exponent_base_group(self):
@@ -111,7 +110,7 @@ class TestAbelianClass2:
         for m in (0, 1):
             G = abelian_class2_group(5, 1, m, 0)
             assert G.order() == 5 and G.is_regular()
-            assert nilpotency_class(G) == 1
+            assert class_of(G) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -133,7 +132,7 @@ class TestProductAction:
         assert G.degree == 12
         assert G.order() == 24
         assert G.is_transitive()
-        assert nilpotency_class(G) == 2
+        assert class_of(G) == 2
 
     def test_trivial_factor_is_identity_operation(self):
         D4 = affine_unitriangular(2, 2, 1)
@@ -156,7 +155,7 @@ class TestProductAction:
         P = product_action(G, H)
         assert P.order() == G.order() * H.order()
         assert P.is_transitive() == (G.is_transitive() and H.is_transitive())
-        assert nilpotency_class(P) == max(nilpotency_class(G), nilpotency_class(H))
+        assert class_of(P) == max(class_of(G), class_of(H))
 
 
 class TestWreathTower:
@@ -175,7 +174,7 @@ class TestWreathTower:
         G = iterated_wreath_sylow(3, 2)
         assert G.degree == 9
         assert G.order() == 3**4
-        assert nilpotency_class(G) == 3
+        assert class_of(G) == 3
 
     def test_exponent_formula(self):
         assert sylow_exponent(2, 3) == 7
@@ -199,14 +198,14 @@ class TestWreathPolynomial:
         G = wreath_polynomial_group(2, 1, 1, 2)
         assert G.degree == 4
         assert G.order() == 8
-        assert nilpotency_class(G) == 2
+        assert class_of(G) == 2
 
     def test_degree_sixteen_extremal(self):
         G = wreath_polynomial_group(2, 2, 2, 2)
         assert G.degree == 16
         assert G.order() == 2**8
         assert G.is_transitive()
-        assert nilpotency_class(G) == 2
+        assert class_of(G) == 2
         # meets the exact class-2 value at k = 4, so it is extremal
         assert G.order() == 2 ** class2_exponent(4)
 
@@ -214,14 +213,14 @@ class TestWreathPolynomial:
         G = wreath_polynomial_group(3, 1, 1, 3)
         assert G.degree == 9
         assert G.order() == 3**4
-        assert nilpotency_class(G) == 3
+        assert class_of(G) == 3
 
     def test_class_at_most_c(self):
         for p, u, v, c in [(2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 3, 2), (2, 2, 2, 3), (3, 1, 1, 2)]:
             G = wreath_polynomial_group(p, u, v, c)
             assert G.is_transitive()
             assert G.order() == p ** wreath_polynomial_exponent(p, u, v, c)
-            assert nilpotency_class(G) <= c, (p, u, v, c)
+            assert class_of(G) <= c, (p, u, v, c)
 
     def test_meets_binomial_lower_bound(self):
         # with u = k/c and v = k(c-1)/c the log-order dominates the binomial bound
@@ -248,12 +247,12 @@ class TestDihedralTimesAbelian:
         assert G.degree == 2**k
         assert G.order() == 2**k
         assert G.is_regular()
-        assert nilpotency_class(G) == c
+        assert class_of(G) == c
 
     def test_class_one_degenerates_to_abelian(self):
         G = dihedral_times_abelian(3, 1)
         assert G.order() == 8 and G.is_regular()
-        assert nilpotency_class(G) == 1
+        assert class_of(G) == 1
 
     def test_c_too_large(self):
         with pytest.raises(ValueError):
@@ -289,7 +288,7 @@ class TestBlueprints:
         assert G.degree == bp.degree
         assert G.order() == bp.order
         assert G.is_transitive()
-        assert nilpotency_class(G) <= bp.class_bound
+        assert class_of(G) <= bp.class_bound
         if bp.log_p_order is not None:
             assert G.order() == bp.p_power[0] ** bp.log_p_order
             assert G.degree % bp.p_power[0] == 0
@@ -416,7 +415,7 @@ def test_every_construction_respects_upper_bound():
     for p, k, G in _module_groups():
         assert G.degree == p**k
         assert G.is_transitive()
-        cls = nilpotency_class(G)
+        cls = class_of(G)
         exponent = 0
         order = G.order()
         while order > 1:
@@ -432,7 +431,7 @@ def test_degree_16_and_32_constructions_dominated_by_reference():
     for p, k, G in _module_groups():
         if p != 2 or k not in (4, 5):
             continue
-        cls = nilpotency_class(G)
+        cls = class_of(G)
         exponent = 0
         order = G.order()
         while order > 1:

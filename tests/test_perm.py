@@ -21,13 +21,11 @@ from nilbound.constructions import (
 )
 from nilbound.perm import (
     GuardExceeded,
-    NotNilpotentError,
     PermGroup,
     Permutation,
     center,
     commutator,
     lower_central_series,
-    nilpotency_class,
     _central_from_point_images,
 )
 from nilbound.search import enumerate_subgroups
@@ -40,6 +38,7 @@ from conftest import (
     assert_chain_verified,
     build_chain,
     build_corpus,
+    class_of,
     compose,
     cyclic,
     klein_four,
@@ -103,6 +102,13 @@ class TestPermutation:
         p = Permutation([1, 0, 2])
         assert [p(x) for x in range(3)] == [1, 0, 2]
         with pytest.raises(ValueError, match=f"point {point} out of range for degree 3"):
+            p(point)
+
+    @pytest.mark.parametrize("point", [1.0, "1", True, None])
+    def test_call_refuses_a_non_integer_point(self, point):
+        # True == 1, so without the type check p(True) would read the image of 1
+        p = Permutation([1, 0, 2])
+        with pytest.raises(ValueError, match=f"^point {point!r} is not an integer$"):
             p(point)
 
     @pytest.mark.parametrize("point", [-1, 3, 10])
@@ -192,6 +198,19 @@ class TestGroupBasics:
             assert Permutation(images) in G
         outside = Permutation.from_cycles(4, (0, 1, 2))  # odd order, not in a 2-group
         assert outside not in G
+
+    @pytest.mark.parametrize(
+        "other", [(1, 0, 3, 2), [1, 0, 3, 2], Permutation.identity(3), Permutation.identity(8)],
+        ids=["tuple", "list", "lower-degree", "higher-degree"],
+    )
+    def test_membership_of_a_non_member_type_or_degree_is_false(self, other):
+        assert other not in iterated_wreath_sylow(2, 2)
+
+    def test_element_list_is_refused_past_the_limit(self):
+        G = iterated_wreath_sylow(2, 5)  # order 2^31
+        message = f"^group of order {2**31} exceeds element limit {perm.ELEMENT_LIMIT}$"
+        with pytest.raises(GuardExceeded, match=message):
+            G.elements()
 
     def test_identity_and_generators_are_members(self, corpus):
         for _, G in corpus:
@@ -364,12 +383,10 @@ class TestCentralSeries:
         series = lower_central_series(sym3())
         assert series.nilpotency_class is None
         assert series.order_profile()[-1] > 1
-        with pytest.raises(NotNilpotentError, match="not nilpotent"):
-            nilpotency_class(sym3())
 
     def test_class_values(self):
-        assert nilpotency_class(PermGroup(3)) == 0
-        assert nilpotency_class(cyclic(5)) == 1
+        assert class_of(PermGroup(3)) == 0
+        assert class_of(cyclic(5)) == 1
 
     @pytest.mark.parametrize("p, k", [(2, 4), (2, 5)])
     def test_terms_keep_at_most_log_p_generators(self, p, k):
