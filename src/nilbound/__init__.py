@@ -2,7 +2,6 @@
 nilpotent transitive permutation groups."""
 
 from .bounds import (
-    BoundReport,
     asymptotic_coefficient,
     best_composition,
     binomial_lower,
@@ -45,7 +44,6 @@ from .search import (
 )
 
 __all__ = [
-    "BoundReport",
     "CentralSeries",
     "GroupBlueprint",
     "GroupError",

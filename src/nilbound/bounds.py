@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -249,47 +248,22 @@ def combine_multiplicative(factors: Mapping[int, int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All bound values for one (p, k, c) triple."""
-
-    p: int
-    k: int
-    c: int
-    f_upper: int
-    elementary: int
-    class2_exact: int | None
-    binomial_lower: int | None
-    witness: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "c": self.c,
-            "f_upper": self.f_upper,
-            "elementary": self.elementary,
-            "class2_exact": self.class2_exact,
-            "binomial_lower": self.binomial_lower,
-            "witness_composition": list(self.witness),
-            "provenance": {
-                "f_upper": "composition maximum",
-                "elementary": "point-stabilizer intersection bound",
-                "class2_exact": "exact value for class <= 2",
-                "binomial_lower": "wreath/polynomial witness",
-            },
-        }
-
-
-def bound_report(p: int, k: int, c: int) -> BoundReport:
-    """Assemble every applicable bound exponent for degree p^k, class <= c."""
-    return BoundReport(
-        p=p,
-        k=k,
-        c=c,
-        f_upper=f_upper(k, c),
-        elementary=elementary_bound(k, c),
-        class2_exact=class2_exponent(k) if c >= 2 else None,
-        binomial_lower=binomial_lower(k, c) if k % c == 0 else None,
-        witness=best_composition(k, c),
-    )
+def bound_report(p: int, k: int, c: int) -> dict:
+    """Every applicable bound exponent for degree p^k, class <= c, with its
+    provenance, as the object ``bound --json`` prints."""
+    return {
+        "p": p,
+        "k": k,
+        "c": c,
+        "f_upper": f_upper(k, c),
+        "elementary": elementary_bound(k, c),
+        "class2_exact": class2_exponent(k) if c >= 2 else None,
+        "binomial_lower": binomial_lower(k, c) if k % c == 0 else None,
+        "witness_composition": list(best_composition(k, c)),
+        "provenance": {
+            "f_upper": "composition maximum",
+            "elementary": "point-stabilizer intersection bound",
+            "class2_exact": "exact value for class <= 2",
+            "binomial_lower": "wreath/polynomial witness",
+        },
+    }

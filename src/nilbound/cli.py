@@ -28,10 +28,6 @@ EXIT_GUARD = 2
 EXIT_INVARIANT = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _emit_json(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
@@ -47,13 +43,13 @@ def _read_json_arg(value: str) -> dict:
             with open(value, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _UsageError(f"cannot read {value}: {exc}")
+            raise ValueError(f"cannot read {value}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+        raise ValueError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
-        raise _UsageError("expected a JSON object")
+        raise ValueError("expected a JSON object")
     return data
 
 
@@ -61,29 +57,29 @@ def _parse_json_arg(value: str, parse: Callable[[dict], Any], what: str) -> Any:
     """Apply parse to the JSON object _read_json_arg reads from value; a
     KeyError, TypeError or ValueError it raises is a usage error about the
     invalid what."""
-    data = _read_json_arg(value)
+    data = _read_json_arg(value)  # outside the try: a read error is no invalid what
     try:
         return parse(data)
     except KeyError as exc:
-        raise _UsageError(f"invalid {what}: missing key {exc}")
+        raise ValueError(f"invalid {what}: missing key {exc}")
     except (TypeError, ValueError) as exc:
-        raise _UsageError(f"invalid {what}: {exc}")
+        raise ValueError(f"invalid {what}: {exc}")
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     require_prime(args.p)
     report = bounds.bound_report(args.p, args.k, args.c)
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json(report)
         return EXIT_OK
     print(f"degree {args.p}^{args.k}, nilpotency class <= {args.c}")
-    print(f"  composition upper bound : log_p order <= {report.f_upper}")
-    print(f"    witness composition   : {list(report.witness)}")
-    print(f"  elementary upper bound  : log_p order <= {report.elementary}")
-    if report.class2_exact is not None:
-        print(f"  exact value at class 2  : log_p order  = {report.class2_exact}")
-    if report.binomial_lower is not None:
-        print(f"  witness lower bound     : log_p order >= {report.binomial_lower}")
+    print(f"  composition upper bound : log_p order <= {report['f_upper']}")
+    print(f"    witness composition   : {report['witness_composition']}")
+    print(f"  elementary upper bound  : log_p order <= {report['elementary']}")
+    if report["class2_exact"] is not None:
+        print(f"  exact value at class 2  : log_p order  = {report['class2_exact']}")
+    if report["binomial_lower"] is not None:
+        print(f"  witness lower bound     : log_p order >= {report['binomial_lower']}")
     return EXIT_OK
 
 
@@ -156,7 +152,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     require_prime(args.p)
     if args.budget is not None and args.budget < 0:
-        raise _UsageError(f"--budget must be non-negative, got {args.budget}")
+        raise ValueError(f"--budget must be non-negative, got {args.budget}")
     row = search.fnil_exact(
         args.p, args.k, args.cmax, dedupe=args.dedupe, max_count=args.budget
     )
@@ -183,7 +179,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.table1:
         kmax = args.kmax
         if kmax < 1:
-            raise _UsageError(f"--kmax must be positive, got {kmax}")
+            raise ValueError(f"--kmax must be positive, got {kmax}")
         # the sum of k*k*c over k <= kmax, c <= 4: the admitted set of the
         # per-cell dynamic program of old, not the cost of the one forward pass
         cells = 10 * kmax * (kmax + 1) * (2 * kmax + 1) // 6
@@ -201,17 +197,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             mark = "ok" if values == closed else "MISMATCH"
             print(f"{k:>3} | " + " ".join(f"{v:>8}" for v in values) + f" | {mark}")
         return EXIT_OK
-    # table2: every row is computed before any is printed, so a refusal
-    # leaves stdout empty
-    cmax = 16
-    rows = []
-    for k in range(1, 6):
-        if 2**k <= search.EXHAUSTIVE_DEGREE_GUARD:
-            rows.append((search.fnil_exact(2, k, cmax).exponents, "exact (exhaustive search)"))
-        else:
-            rows.append((search.TABLE2_REFERENCE[k], "reference (not recomputed)"))
+    rows = search.table2()  # every row before any is printed: a refusal leaves stdout empty
     print("max log_2 order of a transitive 2-group of degree 2^k, class <= c")
-    header = "k\\c | " + " ".join(f"{c:>3}" for c in range(1, cmax + 1)) + " | source"
+    header = "k\\c | " + " ".join(f"{c:>3}" for c in range(1, len(rows[0][0]) + 1)) + " | source"
     print(header)
     print("-" * len(header))
     for k, (values, source) in enumerate(rows, start=1):
@@ -287,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (_UsageError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GuardExceeded as exc:

@@ -23,7 +23,8 @@ them.  audit_row re-analyzes the reported witnesses through the
 permutation-group engine, whose class comes from the lower central series,
 so the two arithmetic paths and the two series check each other.  A stream
 yields at most max_count subgroups, or DEFAULT_BUDGET of them when the
-caller passes none.
+caller passes none.  table2() builds the paper's Table 2: fnil_exact's rows
+within the exhaustive guard, TABLE2_REFERENCE past it.
 """
 
 from __future__ import annotations
@@ -70,14 +71,14 @@ class _Tables:
         self.elements = elements = sorted(group.elements(), key=attrgetter("_element"))
         keys = [g._element for g in elements]
         self.index = index = {x: i for i, x in enumerate(keys)}
-        self.identity = identity = index[group.identity._element]
+        # the identity's images 0, 1, ..., n-1 sort first: it is element 0
         self.n = n = len(elements)
         self.pad = pad = bytes(256 - n)
-        self.trivial = 1 << 8 * (n - 1 - identity)
+        self.trivial = 1 << 8 * (n - 1)
         gens, image_pad = [g._element for g in group.generators], _pad(group.degree)
         lefts = [bytes(index[s.translate(x + image_pad)] for x in keys) + pad for s in gens]
-        mult: list = [bytes(range(n)) if i == identity else None for i in range(n)]
-        reached = [identity]
+        mult: list = [bytes(range(n))] + [None] * (n - 1)
+        reached = [0]
         for k in reached:
             for left in lefts:
                 i = left[k]
@@ -85,7 +86,7 @@ class _Tables:
                     mult[i] = mult[k].translate(left)
                     reached.append(i)
         self.mult = mult
-        self.inv = inv = [row.index(identity) for row in mult]
+        self.inv = inv = [row.index(0) for row in mult]
         # conj[g] is row g^-1 read along column g
         flat = b"".join(mult)
         self.conj = conj = [flat[g::n].translate(mult[inv[g]] + pad) for g in range(n)]
@@ -139,7 +140,7 @@ class _Tables:
             gens.append(g)
             grown = closures.get((H, g))
             if grown is None:
-                grown, table, reps = H, self.table(H), [self.identity]
+                grown, table, reps = H, self.table(H), [0]
                 member = table
                 for r in reps:
                     for s in gens:
@@ -402,3 +403,15 @@ TABLE2_REFERENCE = {
     4: (4, 8, 10, 12, 13, 14, 14) + (15,) * 9,
     5: (5, 11, 17, 19, 22, 25, 26, 27, 28, 29, 29, 30, 30, 30, 30, 31),
 }
+
+
+def table2() -> list[tuple[tuple[int, ...], str]]:
+    """Table 2's rows k = 1..5, the degree-2^k maxima for class c = 1..16 with their
+    source: fnil_exact's row within the exhaustive guard, TABLE2_REFERENCE past it."""
+    rows = []
+    for k in range(1, 6):
+        if 2**k <= EXHAUSTIVE_DEGREE_GUARD:
+            rows.append((fnil_exact(2, k, 16).exponents, "exact (exhaustive search)"))
+        else:
+            rows.append((TABLE2_REFERENCE[k], "reference (not recomputed)"))
+    return rows

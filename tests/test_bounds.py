@@ -319,24 +319,24 @@ def test_prime_power_against_factorint():
 class TestBoundReport:
     def test_fields(self):
         report = bound_report(2, 6, 4)
-        assert report.f_upper == 188
-        assert report.elementary == elementary_bound(6, 4)
-        assert report.class2_exact == class2_exponent(6)
-        assert report.binomial_lower is None  # 4 does not divide 6
-        assert composition_value(report.witness) == 188
+        assert report["f_upper"] == 188
+        assert report["elementary"] == elementary_bound(6, 4)
+        assert report["class2_exact"] == class2_exponent(6)
+        assert report["binomial_lower"] is None  # 4 does not divide 6
+        assert composition_value(report["witness_composition"]) == 188
 
     def test_binomial_present_when_divisible(self):
         report = bound_report(5, 4, 2)
-        assert report.binomial_lower == 4
-        assert report.f_upper == 8
+        assert report["binomial_lower"] == 4
+        assert report["f_upper"] == 8
 
     def test_class2_absent_at_c1(self):
-        assert bound_report(2, 3, 1).class2_exact is None
+        assert bound_report(2, 3, 1)["class2_exact"] is None
 
     def test_json_round_trip_stable(self):
-        data = bound_report(3, 6, 3).to_json()
+        data = bound_report(3, 6, 3)
         assert json.dumps(data, sort_keys=True) == json.dumps(
-            bound_report(3, 6, 3).to_json(), sort_keys=True
+            bound_report(3, 6, 3), sort_keys=True
         )
         assert data["witness_composition"] == list(best_composition(6, 3))
 

@@ -22,8 +22,8 @@ from nilbound.cli import (
     EXIT_USAGE,
     main,
 )
-from nilbound.constructions import _KINDS, blueprint_from_json, realize
-from nilbound.perm import PermGroup
+from nilbound.constructions import _KINDS, blueprint_from_json, dihedral_times_abelian, make_blueprint, realize
+from nilbound.perm import PermGroup, Permutation
 
 from conftest import WITNESS_BLUEPRINTS, cyclic
 
@@ -102,6 +102,12 @@ class TestBound:
         data = json.loads(out)
         assert data["f_upper"] == 8
         assert data["binomial_lower"] == 4
+
+    @pytest.mark.parametrize("p,k,c", [(2, 6, 4), (5, 4, 2), (3, 24, 5)])
+    def test_json_is_the_library_report(self, capsys, p, k, c):
+        code, out, _ = run(capsys, "bound", "--p", str(p), "--k", str(k), "--c", str(c), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == bounds.bound_report(p, k, c)
 
     @pytest.mark.parametrize("k,c", [(0, 3), (3, 0), (-2, 3)])
     def test_nonpositive_k_or_c_is_a_usage_error(self, capsys, k, c):
@@ -266,13 +272,54 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert "line" in err and "column" in err
 
-    def test_invariant_violation_exits_3(self, capsys, monkeypatch):
-        # a sylow-wreath kind that builds the cyclic group of the degree
-        kind = dataclasses.replace(_KINDS["sylow-wreath"], build=lambda p, k: cyclic(p**k))
-        monkeypatch.setitem(_KINDS, "sylow-wreath", kind)
-        blueprint = '{"kind":"sylow-wreath","params":{"p":2,"k":2}}'
+    @pytest.mark.parametrize(
+        "kind,build,params,message",
+        [
+            # a sylow-wreath kind that builds the cyclic group of the degree
+            ("sylow-wreath", lambda p, k: cyclic(p**k), {"p": 2, "k": 2}, "order 4 != predicted 8"),
+            # the cyclic group of degree 8 has the order sylow-wreath(2, 2) predicts
+            ("sylow-wreath", lambda p, k: cyclic(8), {"p": 2, "k": 2}, "degree 8 != predicted 4"),
+            # <(0 1), (2 3)>: degree 4, order 4, class 1, two orbits
+            ("affine-unitriangular",
+             lambda p, k, m: PermGroup(4, [Permutation.from_cycles(4, (0, 1)),
+                                           Permutation.from_cycles(4, (2, 3))]),
+             {"p": 2, "k": 2, "m": 0}, "not transitive"),
+            ("dihedral-abelian", lambda k, c: dihedral_times_abelian(3, 2), {"k": 3, "c": 1},
+             "class 2 exceeds bound 1"),
+        ],
+        ids=["order", "degree", "intransitive", "class"],
+    )
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch, kind, build, params, message):
+        monkeypatch.setitem(_KINDS, kind, dataclasses.replace(_KINDS[kind], build=build))
+        blueprint = json.dumps({"kind": kind, "params": params})
         code, out, err = run(capsys, "construct", "--blueprint", blueprint)
-        assert (code, out, err) == (EXIT_INVARIANT, "", "invariant violation: order 4 != predicted 8\n")
+        assert (code, out, err) == (EXIT_INVARIANT, "", f"invariant violation: {message}\n")
+
+    @pytest.mark.parametrize(
+        "factors,prediction",
+        [
+            ([{"kind": "affine-unitriangular", "params": {"p": 2, "k": 0, "m": 0}},
+              {"kind": "sylow-wreath", "params": {"p": 2, "k": 2}}],
+             {"degree": 4, "order": 8, "log_p_order": 3, "class_bound": 2}),
+            ([{"kind": "affine-unitriangular", "params": {"p": 2, "k": 0, "m": 0}},
+              {"kind": "affine-unitriangular", "params": {"p": 3, "k": 0, "m": 0}}],
+             {"degree": 1, "order": 1, "log_p_order": None, "class_bound": 1}),
+            ([{"kind": "product", "params": {"factors": [
+                {"kind": "affine-unitriangular", "params": {"p": 3, "k": 1, "m": 0}},
+                {"kind": "sylow-wreath", "params": {"p": 2, "k": 1}}]}},
+              {"kind": "affine-unitriangular", "params": {"p": 5, "k": 0, "m": 0}}],
+             {"degree": 6, "order": 6, "log_p_order": None, "class_bound": 1}),
+        ],
+        ids=["keeps-the-other-prime", "two-primes-of-degree-1", "mixed-primes-times-degree-1"],
+    )
+    def test_product_with_a_degree_one_factor(self, capsys, factors, prediction):
+        params = {"factors": factors}
+        assert make_blueprint("product", params).prediction_json() == prediction
+        code, out, _ = run(capsys, "construct", "--blueprint", json.dumps({"kind": "product", "params": params}))
+        data = json.loads(out)
+        assert (code, data["prediction"], data["realized"]) == (EXIT_OK, prediction, True)
+        group = PermGroup.from_json(data["group"])
+        assert (group.degree, group.order()) == (prediction["degree"], prediction["order"])
 
 
 class TestAnalyze:
@@ -589,6 +636,23 @@ class TestContracts:
         )
         assert result.returncode == 0
         assert "3" in result.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--table1", "--kmax", "50"], ["bound", "--p", "2", "--k", "6", "--c", "4", "--json"]],
+        ids=["table1", "bound-json"],
+    )
+    def test_broken_pipe_exits_1_quietly(self, argv):
+        # stdout is a pipe whose read end is closed before the spawn, so
+        # every write to it fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "nilbound.cli", *argv],
+                                    stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_USAGE, b"")
 
 
 # argv lists that one process may run in any order: every verb, a verb with

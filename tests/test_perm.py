@@ -185,6 +185,11 @@ class TestGroupBasics:
         with pytest.raises(ValueError):
             PermGroup(4, [Permutation.identity(3)])
 
+    def test_repr_names_degree_and_generator_count(self):
+        gens = [Permutation.from_cycles(4, (0, 1, 2, 3)), Permutation.from_cycles(4, (0, 2))]
+        assert repr(PermGroup(4, gens)) == "PermGroup(degree=4, ngens=2)"
+        assert repr(PermGroup(0)) == "PermGroup(degree=0, ngens=0)"
+
     def test_wreath_tower_order(self):
         # exponent 1 + 2 + 4 of the degree-8 tower, checked by closure
         W = iterated_wreath_sylow(2, 3)
