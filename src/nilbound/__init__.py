@@ -37,7 +37,6 @@ from .perm import (
     lower_central_series,
 )
 from .search import (
-    SearchRow,
     audit_row,
     enumerate_subgroups,
     fnil_exact,
@@ -50,7 +49,6 @@ __all__ = [
     "GuardExceeded",
     "PermGroup",
     "Permutation",
-    "SearchRow",
     "abelian_class2_group",
     "affine_unitriangular",
     "asymptotic_coefficient",

@@ -33,8 +33,6 @@ from .perm import GuardExceeded
 
 def _geometric_sum(s: int, length: int) -> int:
     """1 + s + ... + s^(length-1), with the empty sum equal to 0."""
-    if s == 0:
-        return 1 if length >= 1 else 0
     if s == 1:
         return length
     return (s**length - 1) // (s - 1)
@@ -195,8 +193,7 @@ def asymptotic_coefficient(c: int) -> Fraction:
     with 0^0 = 1 at c = 1."""
     if c < 1:
         raise ValueError("c must be positive")
-    numerator = 1 if c == 1 else (c - 1) ** (c - 1)
-    return Fraction(numerator, c**c)
+    return Fraction((c - 1) ** (c - 1), c**c)
 
 
 def monomial_count(v: int, i: int, p: int) -> int:

@@ -158,13 +158,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     )
     audit = search.audit_row(row) if args.audit else None
     if args.json:
-        data = row.to_json()
         if audit is not None:
-            data["audit"] = audit
-        _emit_json(data)
+            row["audit"] = audit
+        _emit_json(row)
     else:
         print(f"degree {args.p}^{args.k}: max log_{args.p} order per class bound")
-        for c, e in enumerate(row.exponents, start=1):
+        for c, e in enumerate(row["exponents"], start=1):
             print(f"  class <= {c:2d} : {e}")
         if audit is not None:
             for check in audit["checks"]:

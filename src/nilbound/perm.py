@@ -130,15 +130,14 @@ class Permutation:
     def __pow__(self, n: int) -> Permutation:
         if n < 0:
             return self.inverse() ** (-n)
-        result = None
-        base = self
+        result, base = Permutation.identity(self.degree), self
         while n:
             if n & 1:
-                result = base if result is None else result * base
+                result = result * base
             n >>= 1
             if n:
                 base = base * base
-        return Permutation.identity(self.degree) if result is None else result
+        return result
 
     def is_identity(self) -> bool:
         return self._element == _one(len(self._element))

@@ -19,18 +19,18 @@ of the orbits, conjugacy mode one representative each.  Each subgroup K
 carries at most log_p |K| generators as a byte string of element indices;
 the normality test and the conjugacy orbits run on them, and the nilpotency
 class is the length of K's upper central series, each term screened on
-them.  audit_row re-analyzes the reported witnesses through the
-permutation-group engine, whose class comes from the lower central series,
-so the two arithmetic paths and the two series check each other.  A stream
-yields at most max_count subgroups, or DEFAULT_BUDGET of them when the
-caller passes none.  table2() builds the paper's Table 2: fnil_exact's rows
-within the exhaustive guard, TABLE2_REFERENCE past it.
+them.  fnil_exact returns a row as the object ``search --json`` prints,
+and audit_row audits that object: it reloads each witness from its JSON
+into the permutation-group engine, whose class comes from the lower central
+series, so the two arithmetic paths and the two series check each other.
+A stream yields at most max_count subgroups, or DEFAULT_BUDGET of them when
+the caller passes none.  table2() builds the paper's Table 2: fnil_exact's
+rows within the exhaustive guard, TABLE2_REFERENCE past it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
 from typing import Iterator, Sequence
@@ -298,35 +298,18 @@ def enumerate_subgroups(
     return (tables.to_perm_group(K) for K, _ in _iter_subgroup_sets(tables, p, dedupe, max_count))
 
 
-@dataclass(frozen=True)
-class SearchRow:
-    """Per-class maxima of log_p order over transitive subgroups of the
-    degree-p^k wreath tower: exponents[c - 1] and witnesses[c - 1] are for
-    class at most c, so the row's class bound is len(exponents)."""
-
-    p: int
-    k: int
-    exponents: tuple[int, ...]
-    witnesses: tuple[PermGroup, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "exponents": list(self.exponents),
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
-
-
 def fnil_exact(
     p: int,
     k: int,
     c_max: int,
     dedupe: str = "conjugacy",
     max_count: int | None = None,
-) -> SearchRow:
+) -> dict:
     """Exhaustively maximize order over transitive subgroups of the wreath
-    tower on p^k points, stratified by nilpotency class."""
+    tower on p^k points, stratified by nilpotency class, as the row
+    ``search --json`` prints: exponents[c - 1] and the group JSON
+    witnesses[c - 1] are for class at most c, so its class bound is
+    len(exponents)."""
     # p >= 2, so a degree within the guard has k below it
     if p ** min(k, EXHAUSTIVE_DEGREE_GUARD) > EXHAUSTIVE_DEGREE_GUARD:
         raise GuardExceeded(
@@ -353,23 +336,24 @@ def fnil_exact(
     best = list(accumulate((keys.get(c, (0, 0)) for c in range(1, c_max + 1)), max))
     if not best[0][0]:
         raise AssertionError("no transitive subgroup found for class 1")
-    groups = {K: tables.to_perm_group(K) for _, K in set(best)}
+    groups = {K: tables.to_perm_group(K).to_json() for _, K in set(best)}
     exponents = [bounds.prime_power(order)[1] for order, _ in best]
-    witnesses = [groups[K] for _, K in best]
-    return SearchRow(p, k, tuple(exponents), tuple(witnesses))
+    return {"p": p, "k": k, "exponents": exponents, "witnesses": [groups[K] for _, K in best]}
 
 
-def audit_row(row: SearchRow) -> dict:
-    """Re-verify a search row against the bound functions and re-analyze
-    every witness from its generators, as the object ``search --audit
-    --json`` prints: {"ok": bool, "checks": [{"name", "passed", "detail"}]}.
-    Failures are reported, not raised."""
+def audit_row(row: dict) -> dict:
+    """Re-verify a search row, the object fnil_exact returns, against the
+    bound functions and reload every witness from its JSON, as the object
+    ``search --audit --json`` prints: {"ok": bool, "checks": [{"name",
+    "passed", "detail"}]}.  A claim a well-formed row breaks is reported,
+    not raised; a malformed witness is invalid input, for which
+    PermGroup.from_json raises ValueError (KeyError for a missing degree)."""
     checks = []
 
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": passed, "detail": detail})
 
-    e, k = row.exponents, row.k
+    e, k = row["exponents"], row["k"]
     check("abelian-regular", e[0] == k, f"class-1 exponent {e[0]} vs degree exponent {k}")
     for c, e_c in enumerate(e, start=1):
         limit = bounds.f_upper(k, c)
@@ -377,14 +361,14 @@ def audit_row(row: SearchRow) -> dict:
     if len(e) >= 2:
         exact = bounds.class2_exponent(k)
         check("class2-exact", e[1] == exact, f"class-2 exponent {e[1]} vs exact value {exact}")
-    for c, witness in enumerate(row.witnesses, start=1):
-        reloaded = PermGroup.from_json(witness.to_json())
+    for c, witness in enumerate(row["witnesses"], start=1):
+        reloaded = PermGroup.from_json(witness)
         order = reloaded.order()
         cls = lower_central_series(reloaded).nilpotency_class
         good = (
-            reloaded.degree == row.p**k
+            reloaded.degree == row["p"] ** k
             and reloaded.is_transitive()
-            and order == row.p ** e[c - 1]
+            and order == row["p"] ** e[c - 1]
             and cls is not None
             and cls <= c
         )
@@ -411,7 +395,7 @@ def table2() -> list[tuple[tuple[int, ...], str]]:
     rows = []
     for k in range(1, 6):
         if 2**k <= EXHAUSTIVE_DEGREE_GUARD:
-            rows.append((fnil_exact(2, k, 16).exponents, "exact (exhaustive search)"))
+            rows.append((tuple(fnil_exact(2, k, 16)["exponents"]), "exact (exhaustive search)"))
         else:
             rows.append((TABLE2_REFERENCE[k], "reference (not recomputed)"))
     return rows

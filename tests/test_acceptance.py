@@ -88,7 +88,7 @@ def test_criterion_2_table2_exhaustive():
     start = time.perf_counter()
     rows = {k: fnil_exact(2, k, 8) for k in (1, 2, 3)}
     elapsed = time.perf_counter() - start
-    ok = all(rows[k].exponents == value for k, value in expected.items())
+    ok = all(rows[k]["exponents"] == list(value) for k, value in expected.items())
     report(
         2,
         "exhaustive search reproduces the k<=3 reference rows",
@@ -158,9 +158,9 @@ def test_criterion_4_abelian_class2_family():
 
 
 def test_criterion_5_multiplicative_combination(search_rows):
-    d4 = search_rows[(2, 2)].witnesses[1]  # class <= 2 maximizer at degree 4
-    c3 = search_rows[(3, 1)].witnesses[1]  # class <= 2 maximizer at degree 3
-    exponents = {4: search_rows[(2, 2)].exponents[1], 3: search_rows[(3, 1)].exponents[1]}
+    d4 = PermGroup.from_json(search_rows[(2, 2)]["witnesses"][1])  # class <= 2 maximizer at degree 4
+    c3 = PermGroup.from_json(search_rows[(3, 1)]["witnesses"][1])  # class <= 2 maximizer at degree 3
+    exponents = {4: search_rows[(2, 2)]["exponents"][1], 3: search_rows[(3, 1)]["exponents"][1]}
     G = product_action(d4, c3)
     combined = combine_multiplicative(exponents)
     ok = (
@@ -229,8 +229,8 @@ def _audit_corpus(search_rows):
         (2, 5, dihedral_times_abelian(5, 4)),
     ]
     for (p, k), row in search_rows.items():
-        for witness in row.witnesses:
-            entries.append((p, k, witness))
+        for witness in row["witnesses"]:
+            entries.append((p, k, PermGroup.from_json(witness)))
     return entries
 
 

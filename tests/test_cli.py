@@ -455,6 +455,19 @@ class TestJsonInput:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("p,k,dedupe", [(2, 3, "conjugacy"), (3, 2, "set"), (7, 1, "conjugacy")])
+    def test_json_is_the_library_row(self, capsys, p, k, dedupe):
+        # search's counterpart of TestBound::test_json_is_the_library_report:
+        # the verb prints fnil_exact's row, and under "audit" audit_row's report
+        argv = ["search", "--p", str(p), "--k", str(k), "--cmax", "8", "--dedupe", dedupe, "--json"]
+        row = search.fnil_exact(p, k, 8, dedupe=dedupe)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out) == row
+        code, out, _ = run(capsys, *argv, "--audit")
+        assert code == EXIT_OK
+        assert json.loads(out) == {**row, "audit": search.audit_row(row)}
+
     def test_degree_four_row(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "2", "--k", "2", "--cmax", "4", "--json")
         assert code == EXIT_OK
@@ -531,8 +544,8 @@ class TestSearch:
 
     def test_failed_audit_exits_3(self, capsys, monkeypatch):
         # the class-1 witness twice, with class-2 exponent 2 where the exact value is 3
-        witness = search.fnil_exact(2, 2, 1).witnesses[0]
-        fake = search.SearchRow(2, 2, (2, 2), (witness, witness))
+        witness = search.fnil_exact(2, 2, 1)["witnesses"][0]
+        fake = {"p": 2, "k": 2, "exponents": [2, 2], "witnesses": [witness, witness]}
         monkeypatch.setattr(search, "fnil_exact", lambda *args, **kwargs: fake)
         code, out, _ = run(capsys, "search", "--p", "2", "--k", "2", "--cmax", "2", "--audit")
         assert code == EXIT_INVARIANT

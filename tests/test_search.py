@@ -13,7 +13,6 @@ from nilbound.bounds import class2_exponent, f_upper, prime_power
 from nilbound.constructions import dihedral_times_abelian, iterated_wreath_sylow, sylow_exponent
 from nilbound.perm import GuardExceeded, PermGroup, Permutation
 from nilbound.search import (
-    SearchRow,
     TABLE2_REFERENCE,
     _Tables,
     audit_row,
@@ -271,7 +270,7 @@ def test_search_runs_without_permutation_arithmetic(monkeypatch):
     streams = {
         mode: [H.dumps() for H in enumerate_subgroups(tower, mode)] for mode in ("set", "conjugacy")
     }
-    row = fnil_exact(2, 3, 8).to_json()
+    row = fnil_exact(2, 3, 8)
 
     def refuse(*args):
         raise AssertionError("Permutation arithmetic in the search")
@@ -281,7 +280,7 @@ def test_search_runs_without_permutation_arithmetic(monkeypatch):
     _Tables(tower)
     for mode, expected in streams.items():
         assert [H.dumps() for H in enumerate_subgroups(tower, mode)] == expected
-    assert fnil_exact(2, 3, 8).to_json() == row
+    assert fnil_exact(2, 3, 8) == row
 
 
 def as_mask(tables, indices):
@@ -462,29 +461,29 @@ class TestDegreeFourCompleteness:
 
 class TestFnilExact:
     def test_degree_two_row(self):
-        assert fnil_exact(2, 1, 8).exponents == (1,) * 8
+        assert fnil_exact(2, 1, 8)["exponents"] == [1] * 8
 
     def test_degree_four_row(self):
-        assert fnil_exact(2, 2, 4).exponents == (2, 3, 3, 3)
+        assert fnil_exact(2, 2, 4)["exponents"] == [2, 3, 3, 3]
 
     def test_degree_eight_row(self):
         row = fnil_exact(2, 3, 8)
-        assert row.exponents == (3, 5, 6, 7, 7, 7, 7, 7)
+        assert row["exponents"] == [3, 5, 6, 7, 7, 7, 7, 7]
 
     def test_degree_three_row(self):
-        assert fnil_exact(3, 1, 2).exponents == (1, 1)
+        assert fnil_exact(3, 1, 2)["exponents"] == [1, 1]
 
     def test_degree_nine_row(self):
         # class-1 entry forced by regular abelian, class-2 entry by the exact
         # value, class-3 entry confirmed by this exhaustive run
         row = fnil_exact(3, 2, 3)
-        assert row.exponents == (2, 3, 4)
+        assert row["exponents"] == [2, 3, 4]
 
     def test_set_and_conjugacy_modes_agree(self):
         # whole rows, witnesses included, at every degree the guard admits
         for p, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
-            a = fnil_exact(p, k, 6, dedupe="set").to_json()
-            b = fnil_exact(p, k, 6, dedupe="conjugacy").to_json()
+            a = fnil_exact(p, k, 6, dedupe="set")
+            b = fnil_exact(p, k, 6, dedupe="conjugacy")
             assert a == b, (p, k)
 
     @pytest.mark.parametrize(
@@ -503,26 +502,27 @@ class TestFnilExact:
     def test_row_invariants(self):
         for p, k in [(2, 2), (2, 3), (3, 2)]:
             row = fnil_exact(p, k, 6)
-            assert len(row.exponents) == len(row.witnesses) == 6
-            assert row.exponents[0] == k
-            assert all(a <= b for a, b in zip(row.exponents, row.exponents[1:]))
-            assert row.exponents[-1] <= sylow_exponent(p, k)
-            for c, e in enumerate(row.exponents, start=1):
+            exponents = row["exponents"]
+            assert len(exponents) == len(row["witnesses"]) == 6
+            assert exponents[0] == k
+            assert all(a <= b for a, b in zip(exponents, exponents[1:]))
+            assert exponents[-1] <= sylow_exponent(p, k)
+            for c, e in enumerate(exponents, start=1):
                 assert e <= f_upper(k, c)
-            assert row.exponents[1] == class2_exponent(k)
+            assert exponents[1] == class2_exponent(k)
 
     def test_witnesses_reproduce_their_claims(self):
         row = fnil_exact(2, 3, 5)
-        for c, witness in enumerate(row.witnesses, start=1):
-            reloaded = PermGroup.from_json(json.loads(json.dumps(witness.to_json())))
+        for c, witness in enumerate(row["witnesses"], start=1):
+            reloaded = PermGroup.from_json(json.loads(json.dumps(witness)))
             assert reloaded.degree == 8
             assert reloaded.is_transitive()
-            assert reloaded.order() == 2 ** row.exponents[c - 1]
+            assert reloaded.order() == 2 ** row["exponents"][c - 1]
             assert class_of(reloaded) <= c
 
     def test_deterministic_json(self):
-        first = json.dumps(fnil_exact(2, 3, 4).to_json(), sort_keys=True)
-        second = json.dumps(fnil_exact(2, 3, 4).to_json(), sort_keys=True)
+        first = json.dumps(fnil_exact(2, 3, 4), sort_keys=True)
+        second = json.dumps(fnil_exact(2, 3, 4), sort_keys=True)
         assert first == second
 
 
@@ -540,22 +540,61 @@ class TestAuditRow:
 
     def test_abelian_regular_violation_detected(self):
         row = fnil_exact(2, 2, 2)
-        fake = SearchRow(2, 2, (3, 3), row.witnesses)
-        report = audit_row(fake)
+        report = audit_row({**row, "exponents": [3, 3]})
         assert not report["ok"]
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "abelian-regular" in failed
 
     def test_upper_bound_violation_detected(self):
         row = fnil_exact(2, 2, 2)
-        fake = SearchRow(2, 2, (2, 99), row.witnesses)
-        report = audit_row(fake)
+        report = audit_row({**row, "exponents": [2, 99]})
         assert not report["ok"]
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "composition-upper-bound[c=2]" in failed
 
+    @pytest.mark.parametrize(
+        "make_row, failed, detail",
+        [
+            pytest.param(
+                lambda: {"p": 2, "k": 2, "exponents": [1],
+                         "witnesses": [{"degree": 2, "generators": [[1, 0]]}]},
+                {"abelian-regular", "witness-valid[c=1]"},
+                "degree 2, order 2, class 1",
+                id="degree",
+            ),
+            pytest.param(
+                lambda: {"p": 2, "k": 2, "exponents": [1],
+                         "witnesses": [{"degree": 4, "generators": [[1, 0, 3, 2]]}]},
+                {"abelian-regular", "witness-valid[c=1]"},
+                "degree 4, order 2, class 1",
+                id="transitivity",
+            ),
+            pytest.param(
+                lambda: {**fnil_exact(2, 2, 2), "exponents": [2, 2]},
+                {"class2-exact", "witness-valid[c=2]"},
+                "degree 4, order 8, class 2",
+                id="order",
+            ),
+            pytest.param(
+                lambda: {"p": 2, "k": 2, "exponents": [3],
+                         "witnesses": fnil_exact(2, 2, 2)["witnesses"][1:]},
+                {"abelian-regular", "composition-upper-bound[c=1]", "witness-valid[c=1]"},
+                "degree 4, order 8, class 2",
+                id="class",
+            ),
+        ],
+    )
+    def test_each_witness_claim_is_checked(self, make_row, failed, detail):
+        # one row per claim of witness-valid: the degree is p^k, the witness
+        # is transitive, its order is p^exponent and its class is at most c
+        report = audit_row(make_row())
+        assert not report["ok"]
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == failed
+        [witness] = [c for c in report["checks"] if c["name"].startswith("witness-valid") and not c["passed"]]
+        assert witness["detail"] == detail
+
     def test_non_nilpotent_witness_is_reported_not_raised(self):
-        report = audit_row(SearchRow(3, 1, (1,), (sym3(),)))
+        report = audit_row({"p": 3, "k": 1, "exponents": [1], "witnesses": [sym3().to_json()]})
         assert not report["ok"]
         [witness] = [c for c in report["checks"] if c["name"] == "witness-valid[c=1]"]
         assert not witness["passed"]
@@ -578,7 +617,7 @@ def test_reference_rows_are_self_consistent():
 def test_exhaustive_rows_match_reference_table():
     for k in (1, 2, 3):
         row = fnil_exact(2, k, 16)
-        assert row.exponents == TABLE2_REFERENCE[k]
+        assert tuple(row["exponents"]) == TABLE2_REFERENCE[k]
 
 
 # every tower the exhaustive search guard admits, with the set / conjugacy
@@ -600,7 +639,7 @@ def test_subgroup_stream_is_pinned():
                 digest.update(f"{p} {k} {mode} {H.dumps()}\n".encode())
                 count += 1
             counts.append(count)
-            row = json.dumps(fnil_exact(p, k, 8, dedupe=mode).to_json(), sort_keys=True)
+            row = json.dumps(fnil_exact(p, k, 8, dedupe=mode), sort_keys=True)
             digest.update(f"{p} {k} {mode} row {row}\n".encode())
         if (p, k) in STREAM_COUNTS:
             assert tuple(counts) == STREAM_COUNTS[p, k]
