@@ -3,10 +3,13 @@
 Verbs: bound, construct, analyze, search, table.  Exit codes: 0 success,
 1 usage or parse error, 2 budget/guard refusal, 3 internal invariant
 violation.  All JSON output is deterministic (sorted keys, fixed list
-orders) so identical invocations are byte-identical.  ``main(argv)`` builds
-its argparse parser on the first call and reuses it on every later one in the
-process: parsing keeps no state in the parser, so each call gets a fresh
-namespace, and help width and output streams are read when argparse prints.
+orders) so identical invocations are byte-identical.  It is built with
+C-encoded leaves joined by str.join, byte-identical to ``json.dumps(data,
+sort_keys=True, indent=2)``, whose indent would run the stdlib's
+pure-Python encoder.  ``main(argv)`` builds its argparse parser on the
+first call and reuses it on every later one in the process: parsing keeps
+no state in the parser, so each call gets a fresh namespace, and help
+width and output streams are read when argparse prints.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Callable
 
 from . import bounds, search
@@ -28,8 +32,42 @@ EXIT_GUARD = 2
 EXIT_INVARIANT = 3
 
 
-def _emit_json(data: dict) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+def _dumps(data: Any, indent: str = "\n") -> str:
+    """json.dumps(data, sort_keys=True, indent=2), each line break followed
+    by indent's spaces.  Given an indent the stdlib encodes in pure Python;
+    here containers are joined with str.join and the leaves are encoded in
+    C, an all-int list in one map.  Any other type, and a dict with a key
+    that is not a str, goes to json.dumps, re-indented to its depth."""
+    kind = type(data)
+    if kind is dict:
+        if not data:
+            return "{}"
+        inner = indent + "  "
+        try:
+            items = [f"{_encode_str(key)}: {_dumps(data[key], inner)}" for key in sorted(data)]
+        except TypeError:  # a key that is not a str, or a value json.dumps refuses too
+            return json.dumps(data, sort_keys=True, indent=2).replace("\n", indent)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not data:
+            return "[]"
+        inner = indent + "  "
+        if all(type(v) is int for v in data):  # not bool, whose repr is True
+            items = map(int.__repr__, data)
+        else:
+            items = [_dumps(v, inner) for v in data]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is str:
+        return _encode_str(data)
+    if kind is int:
+        return int.__repr__(data)
+    if data is None:
+        return "null"
+    if data is True:
+        return "true"
+    if data is False:
+        return "false"
+    return json.dumps(data, sort_keys=True, indent=2).replace("\n", indent)
 
 
 def _read_json_arg(value: str) -> dict:
@@ -70,7 +108,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     require_prime(args.p)
     report = bounds.bound_report(args.p, args.k, args.c)
     if args.json:
-        _emit_json(report)
+        print(_dumps(report))
         return EXIT_OK
     print(f"degree {args.p}^{args.k}, nilpotency class <= {args.c}")
     print(f"  composition upper bound : log_p order <= {report['f_upper']}")
@@ -97,7 +135,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print(f"invariant violation: {'; '.join(problems)}", file=sys.stderr)
             return EXIT_INVARIANT
         output.update(group=group.to_json(), realized=True)
-    _emit_json(output)
+    print(_dumps(output))
     return EXIT_OK
 
 
@@ -145,7 +183,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         analysis["log_p_order"] = bounds.prime_power(group.order())[1]
     except ValueError:
         pass
-    _emit_json(analysis)
+    print(_dumps(analysis))
     return EXIT_OK
 
 
@@ -160,7 +198,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.json:
         if audit is not None:
             row["audit"] = audit
-        _emit_json(row)
+        print(_dumps(row))
     else:
         print(f"degree {args.p}^{args.k}: max log_{args.p} order per class bound")
         for c, e in enumerate(row["exponents"], start=1):

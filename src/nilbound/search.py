@@ -188,13 +188,16 @@ def _iter_subgroup_sets(
     elements, is extended: extensions of conjugate subgroups are conjugate.
     Each overgroup K of H is built once, from the least g in K - H, keeping
     H's generators plus g, and a new K is expanded into its class by a
-    search under conjugation by the noncentral generators, keyed by the
-    members' n-byte masks; a member's generators are its parent's read
-    through the conjugation row.  Set mode yields every member of every
-    class, conjugacy mode the representatives.  Every subgroup yielded, the
-    trivial one included, counts against max_count, one at a time."""
+    search under conjugation by the noncentral generators.  The orbit and
+    the level's seen set are keyed by the members' n-byte masks, and each
+    member's generators are its parent's read through the conjugation row.
+    Set mode yields every member of every class, conjugacy mode the
+    representatives.  Every subgroup yielded, the trivial one included,
+    counts against max_count, one at a time."""
     mult, conj, inv, conj_of, pad = tables.mult, tables.conj, tables.inv, tables.conj_of, tables.pad
     n = tables.n
+    from_bytes = int.from_bytes
+    left = [mult[x] for x in inv]  # left[g] is row g^-1: it reads H as g*H
     pth = list(range(n))  # pth[g] = g^p
     for _ in range(p - 1):
         pth = [mult[x][g] for g, x in enumerate(pth)]
@@ -212,39 +215,39 @@ def _iter_subgroup_sets(
     while level:
         next_level: list[tuple[int, bytes]] = []
         others: list[tuple[int, bytes]] = []  # set mode: members but the rep
-        next_seen: set[int] = set()
+        next_seen: set[bytes] = set()
         for H, gens in level:
             table = H.to_bytes(n, "big") + pad
             # <H, g> has order p*|H| when g^p is in H and g normalizes H
-            todo = ~H  # negative until ANDed with the g^p in H
-            for row in (pth, *map(conj_of.__getitem__, gens)):
-                todo &= int.from_bytes(row.translate(table), "big")
+            todo = ~H & from_bytes(pth.translate(table), "big")
+            for y in gens:  # g normalizes H when g^-1 y g is in H
+                todo &= from_bytes(conj_of[y].translate(table), "big")
             while todo:
                 g = (8 * n - todo.bit_length()) >> 3
-                K, coset, left_inverse = H, table, mult[inv[g]]
+                K, coset, left_g = H, table, left[g]
                 for _ in range(p - 1):  # K is H, g*H, ..., g^(p-1)*H
-                    coset = left_inverse.translate(coset)
-                    K |= int.from_bytes(coset, "big")
+                    coset = left_g.translate(coset)
+                    K |= from_bytes(coset, "big")
                     coset += pad
                 todo &= ~K
-                if K in next_seen:
-                    continue
                 key = K.to_bytes(n, "big")
-                orbit = {key: (K, gens + bytes((g,)))}
+                if key in next_seen:
+                    continue
+                K_gens = gens + bytes((g,))
+                orbit = {key: (K, K_gens)}
                 # with central generators only, every class is one subgroup
-                frontier = [key] if conjugators else []
+                frontier = [(key + pad, K_gens)] if conjugators else []
                 while frontier:
-                    current = frontier.pop()
-                    mask, parent_gens = current + pad, orbit[current][1]
+                    mask, parent_gens = frontier.pop()
                     for row_inverse, row in conjugators:
                         image = row_inverse.translate(mask)
                         if image not in orbit:
-                            member = int.from_bytes(image, "big")
-                            orbit[image] = member, parent_gens.translate(row)
-                            frontier.append(image)
+                            member, member_gens = from_bytes(image, "big"), parent_gens.translate(row)
+                            orbit[image] = member, member_gens
+                            frontier.append((image + pad, member_gens))
                             if member & H == H:  # each g in member - H builds it
                                 todo &= ~member
-                next_seen.update(member for member, _ in orbit.values())
+                next_seen.update(orbit)
                 # of equal-length byte keys the greatest is the greatest int
                 next_level.append(orbit.pop(max(orbit)))
                 if yield_members:

@@ -11,10 +11,10 @@ import sys
 from datetime import timedelta
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nilbound import bounds, search
+from nilbound import bounds, cli, search
 from nilbound.cli import (
     EXIT_GUARD,
     EXIT_INVARIANT,
@@ -610,6 +610,79 @@ class TestTable:
         code, out, err = run(capsys, "table", "--table2")
         assert (code, out) == (EXIT_GUARD, "")
         assert err.startswith("refused: search budget exceeded: visited 51 subgroups")
+
+
+# one invocation of every JSON verb: construct of every witness kind and a
+# degraded one (its "group" is null), analyze of a nilpotent group and of
+# one that is not, bound, and search with and without its audit
+_JSON_INVOCATIONS = {
+    **{
+        f"construct-{i}": ["construct", "--blueprint", json.dumps(bp)]
+        for i, bp in enumerate(WITNESS_BLUEPRINTS)
+    },
+    "construct-degraded": [
+        "construct", "--blueprint", '{"kind":"wreath-polynomial","params":{"p":2,"u":3,"v":4,"c":2}}'
+    ],
+    "analyze": ["analyze", "--group", json.dumps(dihedral_times_abelian(4, 3).to_json())],
+    "analyze-not-nilpotent": ["analyze", "--group", '{"degree":3,"generators":[[1,2,0],[1,0,2]]}'],
+    "bound": ["bound", "--p", "2", "--k", "6", "--c", "4", "--json"],
+    "bound-degree-p": ["bound", "--p", "7", "--k", "1", "--c", "1", "--json"],
+    "search": ["search", "--p", "2", "--k", "3", "--json"],
+    "search-audit": ["search", "--p", "2", "--k", "3", "--audit", "--json"],
+    "search-set-audit": ["search", "--p", "3", "--k", "2", "--dedupe", "set", "--audit", "--json"],
+}
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["\u2028", "\u2029", "\x00\x1f\x7f", "\"\\/", "\ud800", "\U0001f600", "\u00e9"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+        | st.lists(st.integers() | st.booleans() | st.none(), max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonEmitter:
+    """cli._dumps is byte for byte json.dumps(data, sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("argv", list(_JSON_INVOCATIONS.values()), ids=list(_JSON_INVOCATIONS))
+    def test_dumps_matches_the_stdlib_on_every_json_verb(self, capsys, monkeypatch, argv):
+        printed = []
+        dumps = cli._dumps
+
+        def spy(data, *indent):
+            if not indent:  # the call a verb makes, not a nested one
+                printed.append(data)
+            return dumps(data, *indent)
+
+        monkeypatch.setattr(cli, "_dumps", spy)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and len(printed) == 1
+        assert out == json.dumps(printed[0], sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=_JSON_VALUES)
+    @example(data={})
+    @example(data=[])
+    @example(data=())
+    @example(data={"b": [], "a": {}, "c": ()})
+    @example(data=[True, 1])
+    @example(data=[1, None, False])
+    @example(data=[-(2**70), 2**64, 0])
+    @example(data={"\u2028\u00e9\x01": "\u2028\x7f"})
+    @example(data={2: [1], 10: {"x": None}})  # int keys go to json.dumps
+    def test_dumps_matches_the_stdlib_on_nested_values(self, data):
+        assert cli._dumps(data) == json.dumps(data, sort_keys=True, indent=2)
 
 
 class TestContracts:

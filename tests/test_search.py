@@ -369,29 +369,43 @@ def test_mask_transitivity_at_degrees_zero_and_one():
         assert transitive == PermGroup(degree).is_transitive() == bool(degree)
 
 
-# set-mode refusals on tower(2,3) by budget: the count and digest of the
-# subgroups yielded before each
+# refusals on tower(2,3) by budget: the count and digest of the subgroups
+# yielded before each.  Budget 300 refuses in the set stream's fourth level
+# (211 subgroups yielded, all of order <= 4), budget 60 in the conjugacy
+# stream's (48 yielded)
 SET_BUDGET_PINS = {
     10: (1, "9212c92d1310a865a8ce9b1bea68125b0ba10e07eb8b155c15bf0a33b17cbfec"),
     11: (1, "9212c92d1310a865a8ce9b1bea68125b0ba10e07eb8b155c15bf0a33b17cbfec"),
     100: (44, "92f3a5669a7b30df7228281c9c6682c09239f76eb74248ccd2a2c59b49bcaabf"),
+    300: (211, "0af18e2cd80115383ba342e74be21c5a75518a35972ace84b254d70892a36811"),
+}
+CONJUGACY_BUDGET_PINS = {
+    60: (48, "32d0d47791930c546fbf96365d3d5eb22de8597661a42b6d925122d6e35ffb9e"),
 }
 
 
-@pytest.mark.parametrize("budget", sorted(SET_BUDGET_PINS))
-def test_set_mode_refusal_is_pinned(budget):
-    # the set stream counts every subgroup it yields, one at a time, so a
+def assert_refusal_is_pinned(dedupe, budget, count, prefix_digest):
+    # the stream counts every subgroup it yields, one at a time, so a
     # refusal names budget + 1 after the same prefix of whole levels
-    count, prefix_digest = SET_BUDGET_PINS[budget]
     yielded = []
     with pytest.raises(
         GuardExceeded,
         match=f"^search budget exceeded: visited {budget + 1} subgroups, over the budget {budget}$",
     ):
-        for H in enumerate_subgroups(iterated_wreath_sylow(2, 3), "set", max_count=budget):
+        for H in enumerate_subgroups(iterated_wreath_sylow(2, 3), dedupe, max_count=budget):
             yielded.append(H.dumps())
     assert len(yielded) == count
     assert hashlib.sha256("".join(f"{s}\n" for s in yielded).encode()).hexdigest() == prefix_digest
+
+
+@pytest.mark.parametrize("budget", sorted(SET_BUDGET_PINS))
+def test_set_mode_refusal_is_pinned(budget):
+    assert_refusal_is_pinned("set", budget, *SET_BUDGET_PINS[budget])
+
+
+@pytest.mark.parametrize("budget", sorted(CONJUGACY_BUDGET_PINS))
+def test_conjugacy_mode_refusal_is_pinned(budget):
+    assert_refusal_is_pinned("conjugacy", budget, *CONJUGACY_BUDGET_PINS[budget])
 
 
 def test_class_needs_the_normal_closure():
